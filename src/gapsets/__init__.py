@@ -10,6 +10,7 @@ evaluates the known closed formulas and bounds against that census.
 from .census import (
     CensusQuery,
     CensusResult,
+    census_histogram,
     count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
@@ -69,6 +70,7 @@ __all__ = [
     "MExtension",
     "MExtensionRejection",
     "as_elements",
+    "census_histogram",
     "classify_gapset",
     "classify_m_extension",
     "compositions_fixed_parts",

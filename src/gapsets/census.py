@@ -1,38 +1,39 @@
 """Exhaustive, exact counting of gapsets by genus, depth and multiplicity.
 
-Counting walks compositions of the genus (the Kunz-coordinate tilings) and
-keeps those passing the coordinate inequality system: depth filters become
-a bound on the largest part, a multiplicity filter fixes the number of
-parts, and pruning happens at generation time, never by post-filtering an
-unrestricted stream.  Counts are exact and bounded by 2**63 - 1; the genus
-is capped accordingly.
+One engine enumerates the Kunz coordinate vectors of the gapsets of a
+genus directly, as a depth-first search that places coordinates left to
+right.  Each coordinate is capped by the inequalities k_(i+j) <= k_i + k_j
+(i + j < m), which bind on every prefix; the wrap-around inequalities
+(i + j > m) are checked once the vector is complete.  A depth filter caps
+every coordinate and a multiplicity filter fixes their number, so both
+prune the search.  The census output is a histogram by (depth,
+multiplicity); every count is a sum over its cells.  Counts are exact and
+bounded by 2**63 - 1; the genus is capped accordingly.
 
-This module is the brute-force oracle: every closed formula and every
-tabulated value elsewhere in the package is checked against it.
+Every closed formula and tabulated value elsewhere in the package is
+checked against this census.  The composition walk in `tilings` (the
+paper's tiling bijection) is in turn the census's brute-force oracle in
+the tests.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import GapSet
-from .kunz import KunzVector, coords_violation, from_kunz
+from .kunz import KunzVector, from_kunz
 from .sequences import fibonacci, padovan
-from .tilings import (
-    _advance,
-    _start,
-    compositions_fixed_parts,
-    count_compositions,
-    enumerate_compositions,
-)
+from .tilings import count_compositions
 
 __all__ = [
     "MAX_GENUS",
     "CensusQuery",
     "CensusResult",
+    "census_histogram",
     "count_depth3_family",
     "count_gapsets",
     "count_gapsets_depth_at_most",
@@ -61,6 +62,8 @@ class CensusQuery:
     def __post_init__(self) -> None:
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
+        if self.genus > MAX_GENUS:
+            raise OverflowError(f"genus {self.genus} exceeds the 64-bit count guard ({MAX_GENUS})")
         if self.depth is not None and self.max_depth is not None:
             raise ValueError("depth and max_depth are mutually exclusive")
         for q in (self.depth, self.max_depth):
@@ -79,124 +82,115 @@ class CensusResult:
     items: Optional[tuple[GapSet, ...]] = None
 
 
-def _count_free(g: int, cap: int, exact: Optional[int], first: Optional[int]) -> int:
-    """Count system-passing compositions of g with parts <= cap.
+def _gapset_coords(
+    g: int, cap: int, parts: Optional[int] = None, first: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Kunz coordinate tuples of the gapsets of genus g with every
+    coordinate <= cap, in the lexicographic order of the composition walk.
 
-    Works directly on the walker's live buffer; `exact` additionally
-    requires the largest part to equal it.
+    `parts` fixes the number of coordinates (multiplicity - 1) and `first`
+    the first one.  Coordinates are placed left to right.  Position p is
+    capped by k_i + k_(p-i): those inequalities hold whatever the final
+    length, so the search stays lexicographic across moduli.  The
+    wrap-around pairs depend on the modulus and are checked at the leaf.
     """
-    buf, k, lo = _start(g, cap, first)
-    if buf is None:
-        return 0
-    n = 0
-    while True:
-        if coords_violation(buf) is None and (exact is None or max(buf) == exact):
-            n += 1
-        if not _advance(buf, k, lo):
-            return n
+    k = [0]  # k[p] is the p-th coordinate
+
+    def grow(rest: int) -> Iterator[tuple[int, ...]]:
+        p = len(k)
+        if rest == 0:
+            if parts is not None and parts != p - 1:
+                return  # only at genus 0: no coordinates at all
+            # the modulus is p; each wrap-around pair i + j = p + t needs
+            # k_t <= k_i + k_j + 1, which only a k_t >= 4 can break
+            for t in range(1, p - 1):
+                if k[t] > 3:
+                    for i in range(t + 1, (p + t) // 2 + 1):
+                        if k[i] + k[p + t - i] + 1 < k[t]:
+                            return
+            yield tuple(k[1:])
+            return
+        hi = min(cap, rest)
+        for i in range(1, p // 2 + 1):
+            if k[i] + k[p - i] < hi:
+                hi = k[i] + k[p - i]
+        lo = 1
+        if parts is not None:  # every later slot takes between 1 and cap
+            after = parts - p
+            hi = min(hi, rest - after)
+            lo = max(lo, rest - cap * after)
+        if p == 1 and first is not None:
+            lo, hi = max(lo, first), min(hi, first)
+        for v in range(lo, hi + 1):
+            k.append(v)
+            yield from grow(rest - v)
+            k.pop()
+
+    return grow(g)
 
 
-def _count_fixed(g: int, parts: int, cap: int, exact: Optional[int], first: Optional[int]) -> int:
-    """Same as `_count_free` but over compositions with a fixed part count."""
-    if first is None:
-        stream: Iterator[tuple[int, ...]] = compositions_fixed_parts(g, parts, cap)
-    elif first > cap or first > g:
-        return 0
-    elif parts == 1:
-        stream = iter([(g,)]) if first == g else iter(())
-    else:
-        stream = (
-            (first,) + rest for rest in compositions_fixed_parts(g - first, parts - 1, cap)
-        )
-    n = 0
-    for c in stream:
-        if coords_violation(c) is None and (exact is None or max(c) == exact):
-            n += 1
-    return n
+def _shard_firsts(g: int, cap: int, parts: Optional[int], jobs: int) -> list[Optional[int]]:
+    """First coordinates a census is sharded by; [None] runs it whole."""
+    firsts = list(range(1, min(cap, g if parts is None else g - parts + 1) + 1))
+    return firsts if jobs > 1 and len(firsts) > 1 else [None]
 
 
-def _count_shard(args: tuple) -> int:
-    g, parts, cap, exact, first = args
-    if parts is None:
-        return _count_free(g, cap, exact, first)
-    return _count_fixed(g, parts, cap, exact, first)
+def _shard_histogram(args: tuple) -> Counter:
+    hist: Counter = Counter()
+    for c in _gapset_coords(*args):
+        hist[max(c, default=0), len(c) + 1] += 1
+    return hist
 
 
-def _plan(query: CensusQuery) -> Optional[tuple[int, Optional[int], int, Optional[int]]]:
-    """Reduce a query to (genus, fixed part count, part cap, exact depth).
+def census_histogram(
+    g: int, max_depth: Optional[int] = None, mult: Optional[int] = None, jobs: int = 1
+) -> Counter:
+    """Number of gapsets of genus g by (depth, multiplicity).
 
-    Returns None when the answer is zero without enumeration.
+    Optional filters bound the depth and fix the multiplicity.  With
+    jobs > 1 the census is sharded by first coordinate and the shards are
+    counted in parallel.
     """
-    g = query.genus
-    exact = query.depth
-    cap = g
-    if exact is not None:
-        if exact == 0 or exact > g:
-            return None
-        cap = exact
-    elif query.max_depth is not None:
-        if query.max_depth == 0:
-            return None
-        cap = min(query.max_depth, g)
-    parts = None
-    if query.mult is not None:
-        parts = query.mult - 1
-        if parts > g:
-            return None
-    return g, parts, cap, exact
+    CensusQuery(g, max_depth=max_depth, mult=mult)  # validates the arguments
+    cap = g if max_depth is None else max_depth
+    parts = None if mult is None else mult - 1
+    tasks = [(g, cap, parts, first) for first in _shard_firsts(g, cap, parts, jobs)]
+    if len(tasks) == 1:
+        return _shard_histogram(tasks[0])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(_shard_histogram, tasks), Counter())
 
 
 def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> CensusResult:
-    """Exact number of gapsets matching the query.
+    """Exact number of gapsets matching the query: a sum over the cells of
+    `census_histogram`.
 
-    With jobs > 1 the stream is partitioned by the value of the first part
-    and shards are counted in parallel; item collection always runs
-    single-shard so the lexicographic order survives.
+    Item collection always runs single-shard so the lexicographic order
+    survives.
     """
-    if query.genus > MAX_GENUS:
-        raise OverflowError(f"genus {query.genus} exceeds the 64-bit count guard ({MAX_GENUS})")
     t0 = time.perf_counter()
-
-    if query.genus == 0:
-        # the empty gapset: genus 0, multiplicity 1, depth 0
-        hit = query.mult is None and query.depth in (None, 0)
-        items = None
-        if collect:
-            items = (GapSet((), 0, 1, 0, 0),) if hit else ()
-        return CensusResult(query, int(hit), time.perf_counter() - t0, 1, items)
-
-    plan = _plan(query)
-    if plan is None:
-        return CensusResult(query, 0, time.perf_counter() - t0, 1, () if collect else None)
-    g, parts, cap, exact = plan
-
+    g, depth = query.genus, query.depth
+    bound = depth if depth is not None else query.max_depth
+    cap = g if bound is None else bound
+    parts = None if query.mult is None else query.mult - 1
     if collect:
-        found = []
-        stream = (
-            compositions_fixed_parts(g, parts, cap)
-            if parts is not None
-            else enumerate_compositions(g, cap)
+        items = tuple(
+            _as_gapset(g, c)
+            for c in _gapset_coords(g, cap, parts)
+            if depth is None or max(c, default=0) == depth
         )
-        for c in stream:
-            if coords_violation(c) is None and (exact is None or max(c) == exact):
-                found.append(_as_gapset(g, c))
-        return CensusResult(query, len(found), time.perf_counter() - t0, 1, tuple(found))
-
-    firsts = list(range(1, min(cap, g if parts is None else g - (parts - 1)) + 1))
-    if jobs > 1 and len(firsts) > 1:
-        tasks = [(g, parts, cap, exact, v) for v in firsts]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            total = sum(pool.map(_count_shard, tasks))
-        shards = len(tasks)
-    else:
-        total = _count_shard((g, parts, cap, exact, None))
-        shards = 1
+        return CensusResult(query, len(items), time.perf_counter() - t0, 1, items)
+    hist = census_histogram(g, bound, query.mult, jobs)
+    total = sum(n for (q, _), n in hist.items() if depth is None or q == depth)
     if total > _MAX_COUNT:
         raise OverflowError("census count exceeds 64 bits")
+    shards = len(_shard_firsts(g, cap, parts, jobs))
     return CensusResult(query, total, time.perf_counter() - t0, shards)
 
 
 def _as_gapset(g: int, coords: tuple[int, ...]) -> GapSet:
+    if not coords:
+        return GapSet((), 0, 1, 0, 0)  # the empty gapset: multiplicity 1, depth 0
     ext = from_kunz(KunzVector(len(coords) + 1, coords))
     return GapSet(ext.elements, g, ext.modulus, ext.conductor, ext.depth)
 
@@ -225,12 +219,6 @@ def count_gapsets_depth_at_most(g: int, k: int) -> int:
     gapset at every positive genus, so column sums line up with the
     unfiltered census.
     """
-    if g < 0 or k < 0:
-        raise ValueError("genus and depth bound must be >= 0")
-    if g == 0:
-        return 1
-    if k == 0:
-        return 0
     return count_gapsets(CensusQuery(g, max_depth=k)).count
 
 
@@ -249,32 +237,25 @@ def enumerate_depth3_family(g: int) -> Iterator[KunzVector]:
     a {2,3}-prefix, a pivot part equal to 3, and a {1,2}-suffix.
 
     Every emitted vector passes the inequality system and has largest
-    coordinate exactly 3.  Vectors are deduplicated by value (the pivot is
-    in fact forced to be the last 3, but the guard is cheap).
+    coordinate exactly 3.  No vector is emitted twice: the pivot is the
+    last 3 of the vector, so it fixes the split into prefix and suffix.
     """
     if g < 3:
         return
-    seen = set()
     for n in range(0, g - 2):  # prefix total; parts of size 2/3 skip n == 1 on their own
         for prefix in _restricted(n, (2, 3)):
             for suffix in _restricted(g - 3 - n, (1, 2)):
                 vec = prefix + (3,) + suffix
-                if vec not in seen:
-                    seen.add(vec)
-                    yield KunzVector(len(vec) + 1, vec)
+                yield KunzVector(len(vec) + 1, vec)
 
 
 def count_depth3_family(g: int) -> int:
     """Size of the depth-3 family at genus g, by the Padovan-Fibonacci formula.
 
-    Under __debug__ (and while the family is small enough to walk) the
-    closed form is checked against the actual stream length.
+    The tests check it against the length of `enumerate_depth3_family`.
     """
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
     if g < 3:
         return 0
-    total = fibonacci(g - 2) + sum(padovan(n) * fibonacci(g - 2 - n) for n in range(2, g - 2))
-    if __debug__ and g <= 24:
-        assert total == sum(1 for _ in enumerate_depth3_family(g)), "closed form vs stream"
-    return total
+    return fibonacci(g - 2) + sum(padovan(n) * fibonacci(g - 2 - n) for n in range(2, g - 2))

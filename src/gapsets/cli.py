@@ -17,13 +17,16 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+# perfbench/tracing.py wraps count_gapsets_depth_at_most by name in this module
 from .census import (
     CensusQuery,
+    census_histogram,
     count_gapsets,
     count_gapsets_depth_at_most,
 )
@@ -48,7 +51,7 @@ EXIT_INTERNAL = 3
 # Ground-truth anchor for the census: the first ten terms of OEIS A007323.
 NG_ANCHOR = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118)
 
-# Recomputing a full table row beyond this genus needs an explicit --force.
+# A census beyond this genus (count, enumerate, a table row) needs --force.
 GMAX_GUARD = 22
 
 
@@ -242,19 +245,24 @@ def _render_csv(header: list[str], rows: list[list[str]], bold_marker: bool = Fa
     return buf.getvalue()
 
 
-def _ng(g: int, jobs: int) -> int:
-    return count_gapsets(CensusQuery(g), jobs=jobs).count
+def _depth_at_most(hist: Counter, k: int) -> int:
+    return sum(n for (q, _), n in hist.items() if q <= k)
 
 
-def _fgqm(g: int, q: int, m: int) -> int:
-    return count_gapsets(CensusQuery(g, depth=q, mult=m)).count
+def _fgqm(hists: dict[int, Counter]) -> Callable[[int, int, int], int]:
+    """The `fgqm` callback of `upper_bound_ng`, as a lookup into per-genus histograms."""
+    return lambda g, q, m: hists[g][q, m]
 
 
 def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[list[str]]]:
-    """Header and cell rows for one of the four tables, fully recomputed."""
+    """Header and cell rows for one of the four tables, fully recomputed.
+
+    Each table runs one census per genus; every cell is a lookup into it.
+    """
     if which == "t1":
         header = ["g", "2F_g", "F_{g+2}-P_{g+1}", "n'_{g-1}+n'_{g-2}", "n'_g", "n_g"]
-        nprime = {g: count_gapsets_depth_at_most(g, 3) for g in range(0, gmax + 1)}
+        hists = {g: census_histogram(g, jobs=jobs) for g in range(0, gmax + 1)}
+        nprime = {g: _depth_at_most(hist, 3) for g, hist in hists.items()}
         rows = []
         for g in range(0, gmax + 1):
             rows.append(
@@ -264,7 +272,7 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
                     str(lower_bound_depth3(g)),
                     str(nprime[g - 1] + nprime[g - 2]) if g >= 2 else "*",
                     str(nprime[g]),
-                    str(_ng(g, jobs)),
+                    str(sum(hists[g].values())),
                 ]
             )
         return header, rows
@@ -272,30 +280,30 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
     if which == "t2":
         qmax = (gmax + 1) // 2
         header = ["q\\g"] + [str(g) for g in range(3, gmax + 1)]
+        hists = {g: census_histogram(g, mult=4, jobs=jobs) for g in range(3, gmax + 1)}
         rows = []
         for q in range(1, qmax + 1):
             cells = [str(q)]
             for g in range(3, gmax + 1):
-                n = _fgqm(g, q, 4)
+                n = hists[g][q, 4]
                 cells.append(str(n) if n else "")
             rows.append(cells)
-        footer = ["N(4,g)"]
-        for g in range(3, gmax + 1):
-            footer.append(str(count_gapsets(CensusQuery(g, mult=4)).count))
-        rows.append(footer)
+        rows.append(["N(4,g)"] + [str(sum(hists[g].values())) for g in range(3, gmax + 1)])
         return header, rows
 
     if which == "t3":
         header = ["g", "n_g", "UB M=4", "UB M=3", "UB M=2", "2^(g-1)"]
+        hists = {g: census_histogram(g, jobs=jobs) for g in range(1, gmax + 1)}
+        fgqm = _fgqm(hists)
         rows = []
         for g in range(1, gmax + 1):
             rows.append(
                 [
                     str(g),
-                    str(_ng(g, jobs)),
-                    str(upper_bound_ng(g, 4, _fgqm)),
-                    str(upper_bound_ng(g, 3, _fgqm)),
-                    str(upper_bound_ng(g, 2, _fgqm)),
+                    str(sum(hists[g].values())),
+                    str(upper_bound_ng(g, 4, fgqm)),
+                    str(upper_bound_ng(g, 3, fgqm)),
+                    str(upper_bound_ng(g, 2, fgqm)),
                     str(1 << (g - 1)),
                 ]
             )
@@ -307,20 +315,20 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
         ] + ["n_g"]
         rows = []
         for g in range(0, gmax + 1):
-            counts = {q: count_gapsets(CensusQuery(g, depth=q)).count for q in range(0, g + 1)}
+            hist = census_histogram(g, jobs=jobs)
             cells = [str(g)]
             for q in list(range(0, 4)) + [None] + list(range(4, gmax + 1)):
                 if q is None:
-                    cells.append(str(count_gapsets_depth_at_most(g, 3)))
+                    cells.append(str(_depth_at_most(hist, 3)))
                     continue
                 if q > g or (q == 0 and g > 0):
                     cells.append("")
                     continue
-                n = counts[q]
+                n = sum(v for (d, _), v in hist.items() if d == q)
                 answer = f_gq(g, q)
                 # bold marks the entries the closed formulas reach
                 cells.append(f"**{n}**" if answer.covered else str(n))
-            cells.append(str(sum(counts.values())))
+            cells.append(str(sum(hist.values())))
             rows.append(cells)
         return header, rows
 
@@ -329,6 +337,14 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _over_guard(what: str, value: int, guard: int, force: bool) -> bool:
+    """Whether a run is past a desk-scale guard; if so, says how to force it."""
+    if value > guard and not force:
+        print(f"error: {what} {value} above guard {guard}; pass --force", file=sys.stderr)
+        return True
+    return False
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -348,6 +364,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     if args.genus is None:
         print("error: --genus is required", file=sys.stderr)
+        return EXIT_USAGE
+    if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
         return EXIT_USAGE
     query = CensusQuery(args.genus, depth=args.depth, max_depth=args.max_depth, mult=args.mult)
 
@@ -395,8 +413,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.genus > GMAX_GUARD and not args.force:
-        print(f"error: genus {args.genus} above guard {GMAX_GUARD}; pass --force", file=sys.stderr)
+    if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
         return EXIT_USAGE
     query = CensusQuery(args.genus, depth=args.depth, max_depth=args.max_depth, mult=args.mult)
     result = count_gapsets(query, collect=True)
@@ -537,9 +554,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if gmax < floor:
         print(f"error: --gmax must be >= {floor} for {args.which}", file=sys.stderr)
         return EXIT_USAGE
-    guard = 40 if args.which == "t2" else GMAX_GUARD
-    if gmax > guard and not args.force:
-        print(f"error: --gmax {gmax} above guard {guard}; pass --force", file=sys.stderr)
+    if _over_guard("--gmax", gmax, 40 if args.which == "t2" else GMAX_GUARD, args.force):
         return EXIT_USAGE
     header, rows = table_rows(args.which, gmax, jobs=args.jobs)
     if args.format == "csv":
@@ -555,10 +570,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print("error: --genus must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     lower = lower_bound_depth3(g)
-    nprime = count_gapsets_depth_at_most(g, 3)
-    ng = _ng(g, args.jobs)
+    hist = census_histogram(g, jobs=args.jobs)
+    nprime = _depth_at_most(hist, 3)
+    ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
-    ubs = {M: upper_bound_ng(g, M, _fgqm) for M in ms}
+    ubs = {M: upper_bound_ng(g, M, _fgqm({g: hist})) for M in ms}
     closed = upper_bound_ng_closedN(g) if g >= 4 else None
     power = 1 << (g - 1)
 
@@ -653,21 +669,19 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     by_index = {e.index: e.value for e in entries}
+    ng = [count_gapsets(CensusQuery(g), jobs=args.jobs).count for g in range(0, args.gmax + 1)]
 
     # our own census must reproduce the known first terms before it is
     # allowed to judge anybody else's data
-    for g, expected in enumerate(NG_ANCHOR):
-        if g > args.gmax:
-            break
-        if _ng(g, args.jobs) != expected:
+    for g, expected in enumerate(NG_ANCHOR[: len(ng)]):
+        if ng[g] != expected:
             print(f"internal error: census n_{g} != {expected}", file=sys.stderr)
             return EXIT_INTERNAL
 
     mismatches = []
     missing = []
-    for g in range(0, args.gmax + 1):
+    for g, expected in enumerate(ng):
         idx = g + args.offset
-        expected = _ng(g, args.jobs)
         if idx not in by_index:
             missing.append(f"g={g}: index {idx} missing from {path.name}")
             continue

@@ -4,6 +4,7 @@ import pytest
 
 from gapsets.census import (
     CensusQuery,
+    census_histogram,
     count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
@@ -11,7 +12,7 @@ from gapsets.census import (
     enumerate_depth3_family,
 )
 from gapsets.core import classify_gapset, GapSet
-from gapsets.kunz import coords_violation, satisfies_kunz_system
+from gapsets.kunz import KunzVector, coords_violation, from_kunz, satisfies_kunz_system
 from gapsets.sequences import fibonacci, fibonacci_k, padovan
 from gapsets.tilings import enumerate_compositions
 
@@ -97,11 +98,16 @@ def test_partition_consistency():
                 by_depth_mult[(max(c), len(c) + 1)] += 1
         assert sum(by_depth.values()) == NG[g]
         assert sum(by_depth.values()) == count_gapsets(q(g)).count
+        assert census_histogram(g) == by_depth_mult
         for depth, n in by_depth.items():
             assert count_gapsets(q(g, depth=depth)).count == n
             assert sum(v for (d, _), v in by_depth_mult.items() if d == depth) == n
         for (depth, mult), n in by_depth_mult.items():
             assert count_gapsets(q(g, depth=depth, mult=mult)).count == n
+        for max_depth in range(0, g + 1):
+            for mult in range(2, g + 2):
+                n = sum(v for (d, m), v in by_depth_mult.items() if d <= max_depth and m == mult)
+                assert count_gapsets(q(g, max_depth=max_depth, mult=mult)).count == n
 
 
 def test_no_gapsets_between_two_thirds_and_genus():
@@ -123,6 +129,8 @@ def test_depth_window_over_census():
 def test_sharded_equals_unsharded():
     for g in (9, 12, 14):
         assert count_gapsets(q(g), jobs=2).count == count_gapsets(q(g)).count
+        assert census_histogram(g, jobs=2) == census_histogram(g)
+    assert census_histogram(14, max_depth=5, mult=5, jobs=2) == census_histogram(14, max_depth=5, mult=5)
     r = count_gapsets(q(13), jobs=3)
     assert r.count == NG[13]
     assert r.shards == 13
@@ -137,6 +145,24 @@ def test_collect_matches_count_and_order():
         assert classify_gapset(item.elements) == item
     res0 = count_gapsets(q(0), collect=True)
     assert res0.items == (GapSet((), 0, 1, 0, 0),)
+    # under every filter, the items are the brute-force filtered walk in its order
+    for g in range(1, 13):
+        walk = [c for c in enumerate_compositions(g) if coords_violation(c) is None]
+        sets = {c: from_kunz(KunzVector(len(c) + 1, c)).elements for c in walk}
+        depth_filters = [(None, None)] + [(k, None) for k in range(0, g + 1)] + [
+            (None, k) for k in range(0, g + 1)
+        ]
+        for depth, max_depth in depth_filters:
+            for mult in [None] + list(range(2, g + 2)):
+                want = [
+                    sets[c]
+                    for c in walk
+                    if (depth is None or max(c) == depth)
+                    and (max_depth is None or max(c) <= max_depth)
+                    and (mult is None or len(c) + 1 == mult)
+                ]
+                res = count_gapsets(q(g, depth, max_depth, mult), collect=True)
+                assert [item.elements for item in res.items] == want
 
 
 def test_depth3_family_examples():

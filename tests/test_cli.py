@@ -63,6 +63,13 @@ def test_count_bad_range(capsys):
     assert code == 2
 
 
+def test_count_guard(capsys):
+    code, out, err = run(capsys, "count", "--genus", "40")
+    assert code == 2 and out == "" and "--force" in err
+    code, out, _ = run(capsys, "count", "--genus", "64", "--force")
+    assert code == 2  # past the 64-bit count guard even when forced
+
+
 def test_count_cache_round_trip(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
     code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))

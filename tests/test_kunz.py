@@ -124,6 +124,16 @@ def test_round_trip_random(mc):
 
 
 @given(coords_strategy)
+def test_kunz_coords_are_residue_maxima(mc):
+    # k_i counts residue class i; equivalently (w_i - i) / m for the
+    # pseudo-Apery value w_i = m + (largest element of class i)
+    m, coords = mc
+    a = from_kunz(KunzVector(m, tuple(coords)))
+    w = pseudo_apery(a).w
+    assert pseudo_kunz(a).coords == tuple((w[i] - i) // m for i in range(1, m))
+
+
+@given(coords_strategy)
 def test_system_agrees_with_direct_classification(mc):
     m, coords = mc
     v = KunzVector(m, tuple(coords))
