@@ -40,6 +40,26 @@ COMMANDS = [
     "count --genus 11 --depth 12 --format csv",
     "enumerate --genus 23",
     "table --which t4 --gmax 40",
+    "verify --set 1,2,3,5,6,7,9,10,11,13,14",
+    "verify --set 1,2,3,5,6,7,9,10,11,13,14 --format json",
+    "verify --set 1,2,4,7,10 --mult 3",
+    "verify --set 1,2,4,7,10 --mult 3 --format json",
+    "verify --set=",
+    "verify --set= --format json",
+    "kunz --set 1,2,4,7,10",
+    "kunz --set 1,2,4,7,10 --mult 3 --format json",
+    "kunz --set 1,2,4,7,10 --mult 4",
+    "from-kunz --kunz 5:1,3,3,2",
+    "from-kunz --kunz 5:1,3,3,2 --format json",
+    "formula --genus 16 --depth 8",
+    "formula --genus 9 --depth 4",
+    "formula --genus 8 --depth 4 --mult 4",
+    "formula --genus 16 --depth 8 --format json",
+    "seq --name fibonacci-k --k 4 --n 11",
+    "seq --name fibonacci-k --k 4 --n 11 --format json",
+    "enumerate --genus 11 --depth 12",
+    "table --which t4 --gmax 12 --format csv",
+    "bounds --genus 12 --M 5",
 ]
 
 
