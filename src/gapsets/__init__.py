@@ -25,7 +25,7 @@ from .core import (
     as_elements,
     classify_gapset,
     classify_m_extension,
-    is_gapset_also,
+    invariants,
 )
 from .formulas import (
     DepthWindow,
@@ -88,7 +88,7 @@ __all__ = [
     "fibonacci",
     "fibonacci_k",
     "from_kunz",
-    "is_gapset_also",
+    "invariants",
     "kunz_system_violation",
     "lower_bound_depth3",
     "padovan",

@@ -72,6 +72,20 @@ class CensusQuery:
         if self.mult is not None and self.mult < 2:
             raise ValueError(f"multiplicity filter must be >= 2, got {self.mult}")
 
+    def selects(self, depth: int, mult: int) -> bool:
+        """Whether a gapset of this genus with that depth and multiplicity
+        passes the filters."""
+        return (
+            (self.depth is None or depth == self.depth)
+            and (self.max_depth is None or depth <= self.max_depth)
+            and (self.mult is None or mult == self.mult)
+        )
+
+    def count_in(self, hist: Counter) -> int:
+        """Sum of the selected cells of a (depth, multiplicity) histogram
+        of this genus, as `census_histogram` returns it."""
+        return sum(n for (q, m), n in hist.items() if self.selects(q, m))
+
 
 @dataclass(frozen=True)
 class CensusResult:
@@ -169,19 +183,18 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
     survives.
     """
     t0 = time.perf_counter()
-    g, depth = query.genus, query.depth
-    bound = depth if depth is not None else query.max_depth
+    g = query.genus
+    bound = query.depth if query.depth is not None else query.max_depth
     cap = g if bound is None else bound
     parts = None if query.mult is None else query.mult - 1
     if collect:
         items = tuple(
             _as_gapset(g, c)
             for c in _gapset_coords(g, cap, parts)
-            if depth is None or max(c, default=0) == depth
+            if query.selects(max(c, default=0), len(c) + 1)
         )
         return CensusResult(query, len(items), time.perf_counter() - t0, 1, items)
-    hist = census_histogram(g, bound, query.mult, jobs)
-    total = sum(n for (q, _), n in hist.items() if depth is None or q == depth)
+    total = query.count_in(census_histogram(g, bound, query.mult, jobs))
     if total > _MAX_COUNT:
         raise OverflowError("census count exceeds 64 bits")
     shards = len(_shard_firsts(g, cap, parts, jobs))

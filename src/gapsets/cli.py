@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: count, enumerate, verify, kunz, from-kunz, table, bounds,
-formula, seq, oeis.  Global flags on every subcommand: --format, --jobs,
---cache, --force.
+formula, seq, oeis.  Each takes only the flags it reads, and --format
+offers only the formats it renders: plain (the default) and json, plus csv
+for count; markdown (the default) and csv for table; none for oeis.
 
 Exit codes: 0 success / all checks match, 1 negative verification verdict
 or data mismatch, 2 usage error, 3 internal invariant violation (a bounds
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,7 @@ from .census import (
     count_gapsets,
     count_gapsets_depth_at_most,
 )
-from .core import GapSet, MExtension, classify_gapset, classify_m_extension
+from .core import GapSet, MExtension, classify_gapset, classify_m_extension, invariants
 from .formulas import (
     f_gq,
     f_gq3,
@@ -51,7 +52,8 @@ EXIT_INTERNAL = 3
 # Ground-truth anchor for the census: the first ten terms of OEIS A007323.
 NG_ANCHOR = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118)
 
-# A census beyond this genus (count, enumerate, a table row) needs --force.
+# A census beyond this genus (count, enumerate, a table row, bounds, oeis)
+# needs --force.
 GMAX_GUARD = 22
 
 
@@ -96,18 +98,13 @@ def format_kunz(v: KunzVector) -> str:
     return f"{v.modulus}:" + ",".join(str(k) for k in v.coords)
 
 
-@dataclass(frozen=True)
-class BFileEntry:
-    index: int
-    value: int
-
-
-def parse_bfile(path: Path) -> list[BFileEntry]:
-    """OEIS b-file: whitespace-separated "index value" lines, '#' comments.
+def parse_bfile(path: Path) -> dict[int, int]:
+    """OEIS b-file as {index: value}: whitespace-separated "index value"
+    lines, '#' comments.
 
     Indices must be strictly increasing; parse errors carry line numbers.
     """
-    entries: list[BFileEntry] = []
+    entries: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -120,9 +117,9 @@ def parse_bfile(path: Path) -> list[BFileEntry]:
                 idx, val = int(fields[0]), int(fields[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer field in {raw.rstrip()!r}") from exc
-            if entries and idx <= entries[-1].index:
+            if entries and idx <= next(reversed(entries)):
                 raise ValueError(f"{path}:{lineno}: index {idx} not strictly increasing")
-            entries.append(BFileEntry(idx, val))
+            entries[idx] = val
     if not entries:
         raise ValueError(f"{path}: no entries")
     return entries
@@ -206,8 +203,10 @@ class CountCache:
         return True
 
     def selfcheck(self, jobs: int = 1) -> list[str]:
-        """Recompute every cached entry; returns mismatch descriptions."""
+        """Check every cached entry against one unfiltered census of its
+        genus; returns mismatch descriptions."""
         problems = []
+        hists: dict[int, Counter] = {}
         for (g, depth, mult), cached in sorted(self.entries.items()):
             query = CensusQuery(
                 g,
@@ -215,14 +214,16 @@ class CountCache:
                 max_depth=int(depth[2:]) if depth.startswith("<=") else None,
                 mult=int(mult[1:]) if mult.startswith("=") else None,
             )
-            fresh = count_gapsets(query, jobs=jobs).count
+            if g not in hists:
+                hists[g] = census_histogram(g, jobs=jobs)
+            fresh = query.count_in(hists[g])
             if fresh != cached:
                 problems.append(f"g={g} depth={depth} mult={mult}: cached {cached} != recomputed {fresh}")
         return problems
 
 
 # ---------------------------------------------------------------------------
-# table rendering
+# output rendering
 
 
 def _render_markdown(header: list[str], rows: list[list[str]]) -> str:
@@ -233,20 +234,25 @@ def _render_markdown(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render_csv(header: list[str], rows: list[list[str]], bold_marker: bool = False) -> str:
+def _render_csv(header: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        if bold_marker:
-            writer.writerow(row)
-        else:
-            writer.writerow([cell.replace("**", "") for cell in row])
+        writer.writerow([cell.replace("**", "") for cell in row])
     return buf.getvalue()
 
 
-def _depth_at_most(hist: Counter, k: int) -> int:
-    return sum(n for (q, _), n in hist.items() if q <= k)
+def emit(fmt: str, record: dict, lines: Sequence[str], row: Optional[dict] = None) -> None:
+    """Print one result in the chosen format: `record` as JSON, `row` as a
+    one-row CSV table (None as an empty cell), or the plain `lines`."""
+    if fmt == "json":
+        print(json.dumps(record))
+    elif fmt == "csv":
+        sys.stdout.write(_render_csv(list(row), [["" if v is None else str(v) for v in row.values()]]))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _fgqm(hists: dict[int, Counter]) -> Callable[[int, int, int], int]:
@@ -262,7 +268,7 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
     if which == "t1":
         header = ["g", "2F_g", "F_{g+2}-P_{g+1}", "n'_{g-1}+n'_{g-2}", "n'_g", "n_g"]
         hists = {g: census_histogram(g, jobs=jobs) for g in range(0, gmax + 1)}
-        nprime = {g: _depth_at_most(hist, 3) for g, hist in hists.items()}
+        nprime = {g: CensusQuery(g, max_depth=3).count_in(hist) for g, hist in hists.items()}
         rows = []
         for g in range(0, gmax + 1):
             rows.append(
@@ -319,12 +325,12 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
             cells = [str(g)]
             for q in list(range(0, 4)) + [None] + list(range(4, gmax + 1)):
                 if q is None:
-                    cells.append(str(_depth_at_most(hist, 3)))
+                    cells.append(str(CensusQuery(g, max_depth=3).count_in(hist)))
                     continue
                 if q > g or (q == 0 and g > 0):
                     cells.append("")
                     continue
-                n = sum(v for (d, _), v in hist.items() if d == q)
+                n = CensusQuery(g, depth=q).count_in(hist)
                 answer = f_gq(g, q)
                 # bold marks the entries the closed formulas reach
                 cells.append(f"**{n}**" if answer.covered else str(n))
@@ -383,32 +389,15 @@ def cmd_count(args: argparse.Namespace) -> int:
             cache.put(query, count)
             cache.save()
 
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "query": {
-                        "genus": query.genus,
-                        "depth": query.depth,
-                        "max_depth": query.max_depth,
-                        "mult": query.mult,
-                    },
-                    "count": count,
-                    "elapsed_ms": round(elapsed_ms, 3),
-                    "shards": shards,
-                    "cached": cached is not None,
-                }
-            )
-        )
-    elif args.format == "csv":
-        print("genus,depth,max_depth,mult,count")
-        print(
-            f"{query.genus},{query.depth if query.depth is not None else ''},"
-            f"{query.max_depth if query.max_depth is not None else ''},"
-            f"{query.mult if query.mult is not None else ''},{count}"
-        )
-    else:
-        print(count)
+    fields = {"genus": query.genus, "depth": query.depth, "max_depth": query.max_depth, "mult": query.mult}
+    record = {
+        "query": fields,
+        "count": count,
+        "elapsed_ms": round(elapsed_ms, 3),
+        "shards": shards,
+        "cached": cached is not None,
+    }
+    emit(args.format, record, [str(count)], row={**fields, "count": count})
     return EXIT_OK
 
 
@@ -416,22 +405,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
         return EXIT_USAGE
     query = CensusQuery(args.genus, depth=args.depth, max_depth=args.max_depth, mult=args.mult)
-    result = count_gapsets(query, collect=True)
-    if args.format == "json":
-        records = [
-            {
-                "elements": list(item.elements),
-                "genus": item.genus,
-                "multiplicity": item.multiplicity,
-                "conductor": item.conductor,
-                "depth": item.depth,
-            }
-            for item in result.items
-        ]
-        print(json.dumps({"count": result.count, "items": records}))
-    else:
-        for item in result.items:
-            print(format_set(item.elements) if item.elements else "(empty)")
+    items = count_gapsets(query, collect=True).items
+    # a GapSet's fields, in order, are the keys of its JSON record
+    record = {"count": len(items), "items": [vars(item) for item in items]}
+    emit(args.format, record, [format_set(item.elements) or "(empty)" for item in items])
     return EXIT_OK
 
 
@@ -439,13 +416,10 @@ def _report_lines(elements: tuple[int, ...], m: Optional[int]) -> tuple[list[str
     """Shared verify logic: plain lines, json record, gapset verdict."""
     verdict = classify_gapset(elements)
     ok = isinstance(verdict, GapSet)
-    multiplicity = 1
-    present = set(elements)
-    while multiplicity in present:
-        multiplicity += 1
+    genus, multiplicity, conductor, depth = invariants(elements)
     modulus = m if m is not None else multiplicity
 
-    lines = [f"set: {format_set(elements) if elements else '(empty)'}"]
+    lines = [f"set: {format_set(elements) or '(empty)'}"]
     record: dict = {"set": list(elements)}
     if ok:
         lines.append("gapset: yes")
@@ -457,9 +431,6 @@ def _report_lines(elements: tuple[int, ...], m: Optional[int]) -> tuple[list[str
         record["witness"] = {"z": verdict.z, "x": verdict.x, "y": verdict.y}
 
     # the set's own invariants, whatever the verdicts turn out to be
-    genus = len(elements)
-    conductor = elements[-1] + 1 if elements else 0
-    depth = -(-conductor // multiplicity) if elements else 0
     lines.append(
         f"genus: {genus}; multiplicity: {multiplicity}; conductor: {conductor}; depth: {depth}"
     )
@@ -496,22 +467,13 @@ def _report_lines(elements: tuple[int, ...], m: Optional[int]) -> tuple[list[str
 def cmd_verify(args: argparse.Namespace) -> int:
     elements = tuple(sorted(parse_set(args.set)))
     lines, record, ok = _report_lines(elements, args.mult)
-    if args.format == "json":
-        print(json.dumps(record))
-    else:
-        for line in lines:
-            print(line)
+    emit(args.format, record, lines)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_kunz(args: argparse.Namespace) -> int:
     elements = tuple(sorted(parse_set(args.set)))
-    m = args.mult
-    if m is None:
-        m = 1
-        present = set(elements)
-        while m in present:
-            m += 1
+    m = args.mult if args.mult is not None else invariants(elements)[1]
     if m < 2:
         print("error: modulus would be 1; pass --mult", file=sys.stderr)
         return EXIT_USAGE
@@ -520,30 +482,20 @@ def cmd_kunz(args: argparse.Namespace) -> int:
         print(str(ext), file=sys.stderr)
         return EXIT_NEGATIVE
     kv = pseudo_kunz(ext)
-    if args.format == "json":
-        print(json.dumps({"m": kv.modulus, "coords": list(kv.coords)}))
-    else:
-        print(format_kunz(kv))
+    emit(args.format, {"m": kv.modulus, "coords": list(kv.coords)}, [format_kunz(kv)])
     return EXIT_OK
 
 
 def cmd_from_kunz(args: argparse.Namespace) -> int:
-    v = parse_kunz(args.kunz)
-    ext = from_kunz(v)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "elements": list(ext.elements),
-                    "m": ext.modulus,
-                    "genus": ext.genus,
-                    "conductor": ext.conductor,
-                    "depth": ext.depth,
-                }
-            )
-        )
-    else:
-        print(format_set(ext.elements))
+    ext = from_kunz(parse_kunz(args.kunz))
+    record = {
+        "elements": list(ext.elements),
+        "m": ext.modulus,
+        "genus": ext.genus,
+        "conductor": ext.conductor,
+        "depth": ext.depth,
+    }
+    emit(args.format, record, [format_set(ext.elements)])
     return EXIT_OK
 
 
@@ -556,11 +508,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if _over_guard("--gmax", gmax, 40 if args.which == "t2" else GMAX_GUARD, args.force):
         return EXIT_USAGE
-    header, rows = table_rows(args.which, gmax, jobs=args.jobs)
-    if args.format == "csv":
-        sys.stdout.write(_render_csv(header, rows))
-    else:
-        sys.stdout.write(_render_markdown(header, rows))
+    render = _render_csv if args.format == "csv" else _render_markdown
+    sys.stdout.write(render(*table_rows(args.which, gmax, jobs=args.jobs)))
     return EXIT_OK
 
 
@@ -569,9 +518,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if g < 1:
         print("error: --genus must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if _over_guard("genus", g, GMAX_GUARD, args.force):
+        return EXIT_USAGE
     lower = lower_bound_depth3(g)
     hist = census_histogram(g, jobs=args.jobs)
-    nprime = _depth_at_most(hist, 3)
+    nprime = CensusQuery(g, max_depth=3).count_in(hist)
     ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
     ubs = {M: upper_bound_ng(g, M, _fgqm({g: hist})) for M in ms}
@@ -589,36 +540,29 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if ng > power:
         violations.append(f"n_g {ng} exceeds 2^(g-1) {power}")
 
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "genus": g,
-                    "lower_depth3": lower,
-                    "n_prime": nprime,
-                    "n_g": ng,
-                    "upper": {str(M): ub for M, ub in ubs.items()},
-                    "upper_closedN": closed,
-                    "power": power,
-                    "ok": not violations,
-                    "violations": violations,
-                }
-            )
-        )
-    else:
-        print(f"genus {g}")
-        print(f"lower bound (depth<=3 family): {lower}")
-        print(f"n'_g (depth<=3):               {nprime}")
-        print(f"n_g:                           {ng}")
-        for M in ms:
-            print(f"upper bound (M={M}):            {ubs[M]}")
-        if closed is not None:
-            print(f"upper bound (closed N):        {closed}")
-        print(f"2^(g-1):                       {power}")
-        for v in violations:
-            print(f"VIOLATION: {v}")
-        if not violations:
-            print("sandwich: ok")
+    record = {
+        "genus": g,
+        "lower_depth3": lower,
+        "n_prime": nprime,
+        "n_g": ng,
+        "upper": {str(M): ub for M, ub in ubs.items()},
+        "upper_closedN": closed,
+        "power": power,
+        "ok": not violations,
+        "violations": violations,
+    }
+    lines = [
+        f"genus {g}",
+        f"lower bound (depth<=3 family): {lower}",
+        f"n'_g (depth<=3):               {nprime}",
+        f"n_g:                           {ng}",
+    ]
+    lines += [f"upper bound (M={M}):            {ub}" for M, ub in ubs.items()]
+    if closed is not None:
+        lines.append(f"upper bound (closed N):        {closed}")
+    lines.append(f"2^(g-1):                       {power}")
+    lines += [f"VIOLATION: {v}" for v in violations] or ["sandwich: ok"]
+    emit(args.format, record, lines)
     return EXIT_INTERNAL if violations else EXIT_OK
 
 
@@ -632,12 +576,9 @@ def cmd_formula(args: argparse.Namespace) -> int:
     else:
         print("error: closed formulas exist for --mult 3 or 4 only", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps({"covered": answer.covered, "value": answer.value, "branch": answer.branch}))
-    elif answer.covered:
-        print(f"{answer.value}  [{answer.branch}]")
-    else:
-        print(f"not covered  [{answer.branch}]")
+    plain = str(answer.value) if answer.covered else "not covered"
+    record = {"covered": answer.covered, "value": answer.value, "branch": answer.branch}
+    emit(args.format, record, [f"{plain}  [{answer.branch}]"])
     return EXIT_OK
 
 
@@ -654,21 +595,19 @@ def cmd_seq(args: argparse.Namespace) -> int:
         value = padovan(args.n)
     else:  # convolution
         value = padovan_fibonacci_convolution(args.n)
-    if args.format == "json":
-        print(json.dumps({"name": name, "n": args.n, "k": args.k, "value": value}))
-    else:
-        print(value)
+    emit(args.format, {"name": name, "n": args.n, "k": args.k, "value": value}, [str(value)])
     return EXIT_OK
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
+    if _over_guard("--gmax", args.gmax, GMAX_GUARD, args.force):
+        return EXIT_USAGE
     path = Path(args.bfile) if args.bfile else bundled_bfile()
     try:
-        entries = parse_bfile(path)
+        by_index = parse_bfile(path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    by_index = {e.index: e.value for e in entries}
     ng = [count_gapsets(CensusQuery(g), jobs=args.jobs).count for g in range(0, args.gmax + 1)]
 
     # our own census must reproduce the known first terms before it is
@@ -699,66 +638,70 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["plain", "json", "csv", "markdown"], default="plain"
-    )
-    common.add_argument("--jobs", type=int, default=1, help="parallel shards for counting")
-    common.add_argument("--cache", default=None, help="path of the JSON count cache")
-    common.add_argument("--force", action="store_true", help="bypass desk-scale guards")
-
+    """The argument parser, built once per process: `main` may run many times in one."""
     parser = argparse.ArgumentParser(prog="gapsets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="count gapsets by genus/depth/multiplicity")
+    def command(name, func, help, formats=("plain", "json"), jobs=False, force=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel shards for counting")
+        if force:
+            p.add_argument("--force", action="store_true", help="bypass desk-scale guards")
+        return p
+
+    p = command(
+        "count", cmd_count, "count gapsets by genus/depth/multiplicity",
+        formats=("plain", "json", "csv"), jobs=True, force=True,
+    )
+    p.add_argument("--cache", default=None, help="path of the JSON count cache")
     p.add_argument("--genus", type=int, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--depth", type=int, default=None, help="exact depth")
     group.add_argument("--max-depth", type=int, default=None, help="depth upper bound")
     p.add_argument("--mult", type=int, default=None, help="exact multiplicity")
     p.add_argument("--selfcheck", action="store_true", help="re-verify every cached entry")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list the gapsets of a genus")
+    p = command("enumerate", cmd_enumerate, "list the gapsets of a genus", force=True)
     p.add_argument("--genus", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--depth", type=int, default=None)
     group.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--mult", type=int, default=None)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("verify", parents=[common], help="classify one set")
+    p = command("verify", cmd_verify, "classify one set")
     p.add_argument("--set", required=True, help='set literal, e.g. "1,2,4,7,10"')
     p.add_argument("--mult", type=int, default=None, help="modulus for the m-extension check")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("kunz", parents=[common], help="Kunz coordinates of a set")
+    p = command("kunz", cmd_kunz, "Kunz coordinates of a set")
     p.add_argument("--set", required=True)
     p.add_argument("--mult", type=int, default=None)
-    p.set_defaults(func=cmd_kunz)
 
-    p = sub.add_parser("from-kunz", parents=[common], help="rebuild the set from coordinates")
+    p = command("from-kunz", cmd_from_kunz, "rebuild the set from coordinates")
     p.add_argument("--kunz", required=True, help='vector literal, e.g. "4:4,4,3"')
-    p.set_defaults(func=cmd_from_kunz)
 
-    p = sub.add_parser("table", parents=[common], help="recompute one of the reference tables")
+    p = command(
+        "table", cmd_table, "recompute one of the reference tables",
+        formats=("markdown", "csv"), jobs=True, force=True,
+    )
     p.add_argument("--which", choices=["t1", "t2", "t3", "t4"], required=True)
     p.add_argument("--gmax", type=int, default=None)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound sandwich for one genus")
+    p = command("bounds", cmd_bounds, "bound sandwich for one genus", jobs=True, force=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--M", type=int, default=None)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("formula", parents=[common], help="evaluate a closed-form count")
+    p = command("formula", cmd_formula, "evaluate a closed-form count")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mult", type=int, default=None, help="3 or 4; omit for the depth-only formula")
-    p.set_defaults(func=cmd_formula)
 
-    p = sub.add_parser("seq", parents=[common], help="evaluate a sequence")
+    p = command("seq", cmd_seq, "evaluate a sequence")
     p.add_argument(
         "--name",
         choices=["fibonacci", "fibonacci-k", "padovan", "convolution"],
@@ -766,21 +709,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_seq)
 
-    p = sub.add_parser("oeis", parents=[common], help="cross-check the census against a b-file")
+    p = command(
+        "oeis", cmd_oeis, "cross-check the census against a b-file",
+        formats=(), jobs=True, force=True,
+    )
     p.add_argument("--bfile", default=None, help="path; defaults to the bundled A007323 fixture")
     p.add_argument("--gmax", type=int, default=18)
     p.add_argument("--offset", type=int, default=0, help="file index of genus 0")
-    p.set_defaults(func=cmd_oeis)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

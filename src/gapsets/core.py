@@ -15,7 +15,7 @@ informative (and as testable) as positive ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "GapSet",
@@ -25,7 +25,7 @@ __all__ = [
     "as_elements",
     "classify_gapset",
     "classify_m_extension",
-    "is_gapset_also",
+    "invariants",
 ]
 
 
@@ -47,14 +47,24 @@ def as_elements(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(elems)
 
 
-@dataclass(frozen=True)
-class GapSet:
-    """A classified gapset with its invariants.
+def invariants(elements: Sequence[int]) -> tuple[int, int, int, int]:
+    """(genus, multiplicity, conductor, depth) of an ascending set.
 
     genus: number of elements; multiplicity: least positive integer not in
     the set; conductor: largest element + 1 (0 when empty); depth:
     ceil(conductor / multiplicity).
     """
+    members = set(elements)
+    mult = 1
+    while mult in members:
+        mult += 1
+    conductor = elements[-1] + 1 if elements else 0
+    return len(elements), mult, conductor, _ceil_div(conductor, mult)
+
+
+@dataclass(frozen=True)
+class GapSet:
+    """A classified gapset with its `invariants`."""
 
     elements: tuple[int, ...]
     genus: int
@@ -117,13 +127,7 @@ def classify_gapset(values: Iterable[int]) -> Union[GapSet, GapsetRejection]:
         for x in range(1, z // 2 + 1):
             if x not in members and (z - x) not in members:
                 return GapsetRejection(z, x, z - x)
-    genus = len(elems)
-    conductor = elems[-1] + 1 if elems else 0
-    mult = 1
-    while mult in members:
-        mult += 1
-    depth = _ceil_div(conductor, mult) if elems else 0
-    return GapSet(elems, genus, mult, conductor, depth)
+    return GapSet(elems, *invariants(elems))
 
 
 def classify_m_extension(values: Iterable[int], m: int) -> Union[MExtension, MExtensionRejection]:
@@ -149,8 +153,3 @@ def classify_m_extension(values: Iterable[int], m: int) -> Union[MExtension, MEx
     genus = len(elems)
     conductor = elems[-1] + 1
     return MExtension(elems, m, genus, conductor, _ceil_div(conductor, m))
-
-
-def is_gapset_also(ext: MExtension) -> bool:
-    """Whether the underlying set of an m-extension passes the gapset check."""
-    return isinstance(classify_gapset(ext.elements), GapSet)

@@ -156,12 +156,7 @@ def _kfib(k: int, n: int) -> int:
     return 1 if k == 1 else fibonacci_k(k, n)
 
 
-def upper_bound_ng(
-    g: int,
-    M: int,
-    fgqm: Callable[[int, int, int], int],
-    use_formulas: bool = False,
-) -> int:
+def upper_bound_ng(g: int, M: int, fgqm: Callable[[int, int, int], int]) -> int:
     """Upper bound for the number of gapsets of genus g, parametrized by M.
 
     Depths up to c = ceil(2g/(M+1)) are bounded by the order-c Fibonacci
@@ -170,44 +165,27 @@ def upper_bound_ng(
     single/double-sum shapes are used (the exactly-one-deep-gapset-of-
     multiplicity-2 term appears as a trailing +1); larger M uses the
     general double sum.
-
-    `use_formulas` swaps the multiplicity-3/4 backend calls for the closed
-    formulas wherever their domains apply.
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
 
-    backend = fgqm
-    if use_formulas:
-
-        def backend(gg: int, qq: int, mm: int) -> int:
-            if mm == 3:
-                a = f_gq3(gg, qq)
-                if a.covered:
-                    return a.value
-            if mm == 4:
-                a = f_gq4(gg, qq)
-                if a.covered:
-                    return a.value
-            return fgqm(gg, qq, mm)
-
     c = _ceil_div(2 * g, M + 1)
     head = _kfib(c, g + 1)
     if M == 2:
         return head + 1
     if M == 3:
-        tail3 = sum(backend(g, q, 3) for q in range(_ceil_div(g, 2) + 1, _ceil_div(2 * g, 3) + 1))
+        tail3 = sum(fgqm(g, q, 3) for q in range(_ceil_div(g, 2) + 1, _ceil_div(2 * g, 3) + 1))
         return head + tail3 + 1
     if M == 4:
-        tail4 = sum(backend(g, q, 4) for q in range(_ceil_div(2 * g, 5) + 1, _ceil_div(g, 2) + 1))
-        tail3 = sum(backend(g, q, 3) for q in range(_ceil_div(g, 2), _ceil_div(2 * g, 3) + 1))
+        tail4 = sum(fgqm(g, q, 4) for q in range(_ceil_div(2 * g, 5) + 1, _ceil_div(g, 2) + 1))
+        tail3 = sum(fgqm(g, q, 3) for q in range(_ceil_div(g, 2), _ceil_div(2 * g, 3) + 1))
         return head + tail4 + tail3 + 1
     total = head
     for m in range(2, M + 1):
         for q in range(c + 1, _ceil_div(2 * g, m) + 1):
-            total += backend(g, q, m)
+            total += fgqm(g, q, m)
     return total
 
 

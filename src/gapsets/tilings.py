@@ -20,7 +20,6 @@ __all__ = [
     "count_compositions",
     "enumerate_compositions",
     "format_composition",
-    "parse_composition",
     "sigma",
     "sigma_inverse",
 ]
@@ -129,15 +128,3 @@ def sigma_inverse(parts: Sequence[int]) -> MExtension:
 def format_composition(parts: Sequence[int]) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
-
-def parse_composition(text: str) -> tuple[int, ...]:
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    try:
-        parts = tuple(int(tok) for tok in body.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad composition literal {text!r}") from exc
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"composition parts must be positive, got {text!r}")
-    return parts

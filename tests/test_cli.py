@@ -3,7 +3,6 @@ import json
 import pytest
 
 from gapsets.cli import (
-    BFileEntry,
     CountCache,
     bundled_bfile,
     main,
@@ -68,6 +67,8 @@ def test_count_guard(capsys):
     assert code == 2 and out == "" and "--force" in err
     code, out, _ = run(capsys, "count", "--genus", "64", "--force")
     assert code == 2  # past the 64-bit count guard even when forced
+    code, out, err = run(capsys, "bounds", "--genus", "40")
+    assert code == 2 and out == "" and "--force" in err
 
 
 def test_count_cache_round_trip(tmp_path, capsys):
@@ -226,6 +227,8 @@ def test_table_t1(capsys):
 def test_table_guard(capsys):
     code, _, err = run(capsys, "table", "--which", "t4", "--gmax", "40")
     assert code == 2 and "--force" in err
+    code, out, err = run(capsys, "oeis", "--gmax", "40")
+    assert code == 2 and out == "" and "--force" in err
 
 
 def test_table_csv_is_deterministic(capsys):
@@ -270,9 +273,9 @@ def test_seq_command(capsys):
 
 def test_bfile_parser(tmp_path):
     entries = parse_bfile(bundled_bfile())
-    assert entries[0] == BFileEntry(0, 1)
-    assert entries[6] == BFileEntry(6, 23)
-    assert len(entries) == 19
+    assert entries[0] == 1
+    assert entries[6] == 23
+    assert list(entries) == list(range(19))
 
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")

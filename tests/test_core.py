@@ -12,7 +12,6 @@ from gapsets.core import (
     as_elements,
     classify_gapset,
     classify_m_extension,
-    is_gapset_also,
 )
 
 
@@ -84,7 +83,7 @@ def test_m_extension_base_interval_only():
         ext = classify_m_extension(range(1, m), m)
         assert isinstance(ext, MExtension)
         assert ext.depth == 1
-        assert is_gapset_also(ext)
+        assert isinstance(classify_gapset(ext.elements), GapSet)
 
 
 def test_m_extension_rejections():
@@ -98,13 +97,13 @@ def test_m_extension_rejections():
 def test_extension_but_not_gapset():
     ext = classify_m_extension((1, 2, 4, 7, 10), 3)
     assert isinstance(ext, MExtension)
-    assert not is_gapset_also(ext)
+    assert not isinstance(classify_gapset(ext.elements), GapSet)
 
 
 def test_gapset_and_extension():
     ext = classify_m_extension((1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14), 4)
     assert isinstance(ext, MExtension)
-    assert is_gapset_also(ext)
+    assert isinstance(classify_gapset(ext.elements), GapSet)
 
 
 def test_shallow_extensions_are_gapsets_exhaustive():
@@ -117,7 +116,7 @@ def test_shallow_extensions_are_gapsets_exhaustive():
                 ext = classify_m_extension(tuple(range(1, m)) + extra, m)
                 assert isinstance(ext, MExtension)
                 assert ext.depth <= 2
-                assert is_gapset_also(ext)
+                assert isinstance(classify_gapset(ext.elements), GapSet)
 
 
 @given(st.sets(st.integers(min_value=1, max_value=40), max_size=14))

@@ -98,14 +98,6 @@ def test_upper_bound_examples():
     assert upper_bound_ng(5, 2, census_fgqm) == 16
 
 
-def test_upper_bound_formula_backend_agrees():
-    for g in range(1, 16):
-        for M in (2, 3, 4):
-            assert upper_bound_ng(g, M, census_fgqm) == upper_bound_ng(
-                g, M, census_fgqm, use_formulas=True
-            )
-
-
 def test_upper_bound_general_M():
     # beyond the specialized shapes the bound must still dominate the census
     for g in range(1, 13):

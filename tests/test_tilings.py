@@ -9,7 +9,6 @@ from gapsets.tilings import (
     count_compositions,
     enumerate_compositions,
     format_composition,
-    parse_composition,
     sigma,
     sigma_inverse,
 )
@@ -121,9 +120,3 @@ def test_round_trip_random(parts):
 
 def test_composition_text_format():
     assert format_composition((4, 1)) == "(4,1)"
-    assert parse_composition("(4,1)") == (4, 1)
-    assert parse_composition("2,2,1") == (2, 2, 1)
-    with pytest.raises(ValueError):
-        parse_composition("(0,1)")
-    with pytest.raises(ValueError):
-        parse_composition("()")
