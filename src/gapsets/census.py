@@ -171,7 +171,7 @@ def census_histogram(
     tasks = [(g, cap, parts, first) for first in _shard_firsts(g, cap, parts, jobs)]
     if len(tasks) == 1:
         return _shard_histogram(tasks[0])
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return sum(pool.map(_shard_histogram, tasks), Counter())
 
 

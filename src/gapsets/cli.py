@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
+import operator
+import os
 import sys
-import time
+import tempfile
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -44,6 +47,11 @@ from .kunz import KunzVector, from_kunz, kunz_system_violation, pseudo_apery, ps
 from .sequences import fibonacci, fibonacci_k, padovan, padovan_fibonacci_convolution
 from .tilings import format_composition
 
+try:
+    import fcntl
+except ImportError:  # not POSIX: cache writes go unlocked
+    fcntl = None
+
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -55,6 +63,12 @@ NG_ANCHOR = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118)
 # A census beyond this genus (count, enumerate, a table row, bounds, oeis)
 # needs --force.
 GMAX_GUARD = 22
+
+# A CensusQuery's fields in constructor order: the keys of `count`'s query
+# record and of a cache entry; a query's cache key is the tuple of values.
+QUERY_FIELDS = tuple(f.name for f in dataclasses.fields(CensusQuery))
+query_key = operator.attrgetter(*QUERY_FIELDS)
+_record_key = operator.itemgetter(*QUERY_FIELDS)
 
 
 def bundled_bfile() -> Path:
@@ -130,95 +144,78 @@ def parse_bfile(path: Path) -> dict[int, int]:
 
 
 class CountCache:
-    """Single-document JSON cache of census counts.
+    """Single-document JSON cache of census counts: one entry per query.
 
     Unknown schema versions are ignored wholesale (recompute instead of
-    migrating).  Writes take an exclusive advisory lock; if another writer
-    holds it, the update is skipped with a warning rather than corrupting
-    the file.
+    migrating).  `save` merges the file's entries into its own under an
+    exclusive lock on `<path>.lock`, then replaces the file atomically, so
+    neither a crash mid-write nor a concurrent writer loses entries.
     """
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.entries: dict[tuple[int, str, str], int] = {}
-        self._load()
+        self.entries: dict[tuple, int] = self._load()
 
-    @staticmethod
-    def _key(query: CensusQuery) -> tuple[int, str, str]:
-        if query.depth is not None:
-            depth = f"={query.depth}"
-        elif query.max_depth is not None:
-            depth = f"<={query.max_depth}"
-        else:
-            depth = "any"
-        mult = f"={query.mult}" if query.mult is not None else "any"
-        return (query.genus, depth, mult)
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
+    def _load(self) -> dict[tuple, int]:
+        """The file's entries; none if it is missing, unreadable or of another schema."""
         try:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
-            return
+            return {}
         if not isinstance(doc, dict) or doc.get("schema_version") != self.SCHEMA_VERSION:
-            return
+            return {}
+        entries = {}
         for rec in doc.get("entries", []):
             try:
-                self.entries[(int(rec["g"]), str(rec["depth"]), str(rec["mult"]))] = int(rec["count"])
+                entries[_record_key(rec)] = int(rec["count"])
             except (KeyError, TypeError, ValueError):
                 continue
+        return entries
 
     def get(self, query: CensusQuery) -> Optional[int]:
-        return self.entries.get(self._key(query))
+        return self.entries.get(query_key(query))
 
     def put(self, query: CensusQuery, count: int) -> None:
-        self.entries[self._key(query)] = count
+        self.entries[query_key(query)] = count
 
-    def save(self) -> bool:
-        doc = {
-            "schema_version": self.SCHEMA_VERSION,
-            "entries": [
-                {"g": g, "depth": depth, "mult": mult, "count": count, "at": int(time.time())}
-                for (g, depth, mult), count in sorted(self.entries.items())
-            ],
-        }
-        try:
-            import fcntl
-
-            with open(self.path, "a+", encoding="utf-8") as handle:
-                try:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError:
-                    print(f"warning: cache {self.path} is locked; skipping update", file=sys.stderr)
-                    return False
-                handle.seek(0)
-                handle.truncate()
-                json.dump(doc, handle, indent=1)
-                handle.write("\n")
-        except ImportError:  # non-POSIX fallback: unlocked write
-            self.path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-        return True
+    def save(self) -> None:
+        with open(f"{self.path}.lock", "a") as lock:
+            if fcntl is not None:  # without it the replace is still atomic, but unlocked
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            self.entries = {**self._load(), **self.entries}
+            doc = {
+                "schema_version": self.SCHEMA_VERSION,
+                "entries": [dict(zip(QUERY_FIELDS, key), count=n) for key, n in self.entries.items()],
+            }
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(doc, handle, indent=1)
+                    handle.write("\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     def selfcheck(self, jobs: int = 1) -> list[str]:
         """Check every cached entry against one unfiltered census of its
         genus; returns mismatch descriptions."""
         problems = []
         hists: dict[int, Counter] = {}
-        for (g, depth, mult), cached in sorted(self.entries.items()):
-            query = CensusQuery(
-                g,
-                depth=int(depth[1:]) if depth.startswith("=") else None,
-                max_depth=int(depth[2:]) if depth.startswith("<=") else None,
-                mult=int(mult[1:]) if mult.startswith("=") else None,
-            )
-            if g not in hists:
-                hists[g] = census_histogram(g, jobs=jobs)
-            fresh = query.count_in(hists[g])
+        for key, cached in self.entries.items():
+            label = " ".join(f"{f}={v}" for f, v in zip(QUERY_FIELDS, key))
+            try:
+                query = CensusQuery(*key)
+            except (TypeError, ValueError, OverflowError):
+                problems.append(f"{label}: not a census query")
+                continue
+            if query.genus not in hists:
+                hists[query.genus] = census_histogram(query.genus, jobs=jobs)
+            fresh = query.count_in(hists[query.genus])
             if fresh != cached:
-                problems.append(f"g={g} depth={depth} mult={mult}: cached {cached} != recomputed {fresh}")
+                problems.append(f"{label}: cached {cached} != recomputed {fresh}")
         return problems
 
 
@@ -353,6 +350,16 @@ def _over_guard(what: str, value: int, guard: int, force: bool) -> bool:
     return False
 
 
+def _census_query(args: argparse.Namespace) -> Optional[CensusQuery]:
+    """The query of count's or enumerate's flags; None if --genus is missing or past the guard."""
+    if args.genus is None:
+        print("error: --genus is required", file=sys.stderr)
+        return None
+    if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
+        return None
+    return CensusQuery(args.genus, args.depth, args.max_depth, args.mult)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     cache = CountCache(Path(args.cache)) if args.cache else None
 
@@ -368,43 +375,35 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(f"cache ok: {len(cache.entries)} entries verified")
         return EXIT_OK
 
-    if args.genus is None:
-        print("error: --genus is required", file=sys.stderr)
+    query = _census_query(args)
+    if query is None:
         return EXIT_USAGE
-    if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
-        return EXIT_USAGE
-    query = CensusQuery(args.genus, depth=args.depth, max_depth=args.max_depth, mult=args.mult)
-
-    cached = cache.get(query) if cache else None
-    elapsed_ms = 0.0
-    shards = 0
-    if cached is not None:
-        count = cached
-    else:
+    count = cache.get(query) if cache else None
+    cached = count is not None
+    elapsed_ms, shards = 0.0, 0
+    if not cached:
         result = count_gapsets(query, jobs=args.jobs)
-        count = result.count
-        elapsed_ms = result.elapsed * 1000.0
-        shards = result.shards
+        count, elapsed_ms, shards = result.count, result.elapsed * 1000.0, result.shards
         if cache:
             cache.put(query, count)
             cache.save()
 
-    fields = {"genus": query.genus, "depth": query.depth, "max_depth": query.max_depth, "mult": query.mult}
+    fields = dict(zip(QUERY_FIELDS, query_key(query)))
     record = {
         "query": fields,
         "count": count,
         "elapsed_ms": round(elapsed_ms, 3),
         "shards": shards,
-        "cached": cached is not None,
+        "cached": cached,
     }
     emit(args.format, record, [str(count)], row={**fields, "count": count})
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
+    query = _census_query(args)
+    if query is None:
         return EXIT_USAGE
-    query = CensusQuery(args.genus, depth=args.depth, max_depth=args.max_depth, mult=args.mult)
     items = count_gapsets(query, collect=True).items
     # a GapSet's fields, in order, are the keys of its JSON record
     record = {"count": len(items), "items": [vars(item) for item in items]}
@@ -515,9 +514,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = args.genus
-    if g < 1:
-        print("error: --genus must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if _over_guard("genus", g, GMAX_GUARD, args.force):
         return EXIT_USAGE
     lower = lower_bound_depth3(g)
@@ -567,15 +563,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_formula(args: argparse.Namespace) -> int:
-    if args.mult is None:
-        answer = f_gq(args.genus, args.depth)
-    elif args.mult == 3:
-        answer = f_gq3(args.genus, args.depth)
-    elif args.mult == 4:
-        answer = f_gq4(args.genus, args.depth)
-    else:
-        print("error: closed formulas exist for --mult 3 or 4 only", file=sys.stderr)
-        return EXIT_USAGE
+    answer = {None: f_gq, 3: f_gq3, 4: f_gq4}[args.mult](args.genus, args.depth)
     plain = str(answer.value) if answer.covered else "not covered"
     record = {"covered": answer.covered, "value": answer.value, "branch": answer.branch}
     emit(args.format, record, [f"{plain}  [{answer.branch}]"])
@@ -617,18 +605,16 @@ def cmd_oeis(args: argparse.Namespace) -> int:
             print(f"internal error: census n_{g} != {expected}", file=sys.stderr)
             return EXIT_INTERNAL
 
-    mismatches = []
-    missing = []
+    problems = []
     for g, expected in enumerate(ng):
         idx = g + args.offset
         if idx not in by_index:
-            missing.append(f"g={g}: index {idx} missing from {path.name}")
-            continue
-        if by_index[idx] != expected:
-            mismatches.append(f"g={g}: file has {by_index[idx]}, census says {expected}")
-    for line in missing + mismatches:
+            problems.append(f"g={g}: index {idx} missing from {path.name}")
+        elif by_index[idx] != expected:
+            problems.append(f"g={g}: file has {by_index[idx]}, census says {expected}")
+    for line in problems:
         print(line)
-    if missing or mismatches:
+    if problems:
         return EXIT_NEGATIVE
     print(f"all match: g=0..{args.gmax} against {path.name}")
     return EXIT_OK
@@ -636,6 +622,19 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 @functools.cache
@@ -650,29 +649,29 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel shards for counting")
+            p.add_argument("--jobs", type=at_least(1), default=1, help="parallel shards for counting")
         if force:
             p.add_argument("--force", action="store_true", help="bypass desk-scale guards")
         return p
+
+    def query_flags(p):
+        """The flags of a CensusQuery, one per field."""
+        p.add_argument("--genus", type=int, default=None)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--depth", type=int, default=None, help="exact depth")
+        group.add_argument("--max-depth", type=int, default=None, help="depth upper bound")
+        p.add_argument("--mult", type=int, default=None, help="exact multiplicity")
 
     p = command(
         "count", cmd_count, "count gapsets by genus/depth/multiplicity",
         formats=("plain", "json", "csv"), jobs=True, force=True,
     )
+    query_flags(p)
     p.add_argument("--cache", default=None, help="path of the JSON count cache")
-    p.add_argument("--genus", type=int, default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--depth", type=int, default=None, help="exact depth")
-    group.add_argument("--max-depth", type=int, default=None, help="depth upper bound")
-    p.add_argument("--mult", type=int, default=None, help="exact multiplicity")
     p.add_argument("--selfcheck", action="store_true", help="re-verify every cached entry")
 
     p = command("enumerate", cmd_enumerate, "list the gapsets of a genus", force=True)
-    p.add_argument("--genus", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--depth", type=int, default=None)
-    group.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--mult", type=int, default=None)
+    query_flags(p)
 
     p = command("verify", cmd_verify, "classify one set")
     p.add_argument("--set", required=True, help='set literal, e.g. "1,2,4,7,10"')
@@ -693,13 +692,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmax", type=int, default=None)
 
     p = command("bounds", cmd_bounds, "bound sandwich for one genus", jobs=True, force=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=at_least(1), required=True)
     p.add_argument("--M", type=int, default=None)
 
     p = command("formula", cmd_formula, "evaluate a closed-form count")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--mult", type=int, default=None, help="3 or 4; omit for the depth-only formula")
+    p.add_argument("--mult", type=int, choices=(3, 4), default=None, help="omit for the depth-only formula")
 
     p = command("seq", cmd_seq, "evaluate a sequence")
     p.add_argument(
@@ -715,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
         formats=(), jobs=True, force=True,
     )
     p.add_argument("--bfile", default=None, help="path; defaults to the bundled A007323 fixture")
-    p.add_argument("--gmax", type=int, default=18)
+    p.add_argument("--gmax", type=at_least(0), default=18)
     p.add_argument("--offset", type=int, default=0, help="file index of genus 0")
 
     return parser

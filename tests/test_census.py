@@ -136,6 +136,30 @@ def test_sharded_equals_unsharded():
     assert r.shards == 13
 
 
+def test_pool_never_larger_than_the_shard_count(monkeypatch):
+    from gapsets import census
+
+    asked = []
+
+    class InProcessPool:  # records the pool size; starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    expected = census_histogram(10, jobs=1)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessPool)
+    assert census_histogram(10, jobs=10_000) == expected
+    assert len(asked) == 1 and 1 <= asked[0] <= len(census._shard_firsts(10, 10, None, 10_000))
+
+
 def test_collect_matches_count_and_order():
     res = count_gapsets(q(7), collect=True)
     assert res.count == len(res.items) == NG[7]

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_kunz import coords_strategy
 
+from gapsets import cli
 from gapsets.cli import (
     CountCache,
     bundled_bfile,
@@ -11,6 +17,8 @@ from gapsets.cli import (
     parse_set,
 )
 from gapsets.census import CensusQuery
+from gapsets.core import GapSet, classify_gapset
+from gapsets.kunz import KunzVector, from_kunz
 
 
 def run(capsys, *argv):
@@ -76,7 +84,7 @@ def test_count_cache_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
     assert code == 0 and out.strip() == "67"
     doc = json.loads(cache_path.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["entries"][0]["count"] == 67
     # second run hits the cache
     code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path), "--format", "json")
@@ -85,9 +93,42 @@ def test_count_cache_round_trip(tmp_path, capsys):
 
 def test_cache_unknown_schema_ignored(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
-    cache_path.write_text(json.dumps({"schema_version": 99, "entries": [{"g": 8, "depth": "any", "mult": "any", "count": 1}]}))
-    code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
-    assert code == 0 and out.strip() == "67"  # recomputed, not the bogus 1
+    for version in (99, 1):  # 1: the format before entries were keyed by the query's fields
+        entry = {"g": 8, "depth": "any", "mult": "any", "count": 1, "at": 0}
+        cache_path.write_text(json.dumps({"schema_version": version, "entries": [entry]}))
+        code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
+        assert code == 0 and out.strip() == "67"  # recomputed, not the bogus 1
+
+
+def test_cache_concurrent_writers_keep_both_entries(tmp_path):
+    cache_path = tmp_path / "cache.json"
+    first, second = CountCache(cache_path), CountCache(cache_path)
+    first.put(CensusQuery(8), 67)
+    second.put(CensusQuery(9, max_depth=3), 105)
+    first.save()
+    second.save()
+    fresh = CountCache(cache_path)
+    assert fresh.get(CensusQuery(8)) == 67
+    assert fresh.get(CensusQuery(9, max_depth=3)) == 105
+
+
+def test_cache_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    cache_path = tmp_path / "cache.json"
+    cache = CountCache(cache_path)
+    cache.put(CensusQuery(8), 67)
+    cache.save()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("serialisation failed")
+
+    cache.put(CensusQuery(9), 118)
+    monkeypatch.setattr(cli.json, "dump", boom)
+    monkeypatch.setattr(cli.json, "dumps", boom)
+    with pytest.raises(RuntimeError):
+        cache.save()
+    monkeypatch.undo()
+    assert CountCache(cache_path).get(CensusQuery(8)) == 67
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []  # no temp file left
 
 
 def test_cache_selfcheck(tmp_path, capsys):
@@ -229,6 +270,8 @@ def test_table_guard(capsys):
     assert code == 2 and "--force" in err
     code, out, err = run(capsys, "oeis", "--gmax", "40")
     assert code == 2 and out == "" and "--force" in err
+    code, out, err = run(capsys, "oeis", "--gmax", "-1")
+    assert code == 2 and out == "" and "--gmax" in err
 
 
 def test_table_csv_is_deterministic(capsys):
@@ -318,3 +361,58 @@ def test_oeis_missing_index(tmp_path, capsys):
 def test_usage_error_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--genus", "8"),
+        ("table", "--which", "t1", "--gmax", "4"),
+        ("bounds", "--genus", "4"),
+        ("oeis", "--gmax", "4"),
+    ],
+)
+def test_jobs_below_one_rejected(capsys, argv):
+    for jobs in ("0", "-4"):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs" in err
+
+
+def cli_run(*argv):
+    """Exit code and stdout of one CLI call (capsys does not mix with Hypothesis)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def kunz_literal(m, coords):
+    return f"{m}:" + ",".join(map(str, coords))
+
+
+@given(coords_strategy)
+def test_cli_round_trip_from_kunz_kunz_verify(mc):
+    m, coords = mc
+    elements = from_kunz(KunzVector(m, tuple(coords))).elements
+    text = ",".join(map(str, elements))
+
+    code, out = cli_run("from-kunz", "--kunz", kunz_literal(m, coords), "--format", "json")
+    assert code == 0 and json.loads(out)["elements"] == list(elements)
+
+    code, out = cli_run("kunz", "--set", text)
+    assert code == 0 and out.strip() == kunz_literal(m, coords)
+
+    code, _ = cli_run("verify", "--set", text)
+    assert code == (0 if isinstance(classify_gapset(elements), GapSet) else 1)
+
+
+@given(coords_strategy, st.data())
+def test_cli_malformed_literal_exits_2(mc, data):
+    m, coords = mc
+    tokens = [str(m)] + [str(k) for k in coords]
+    i = data.draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+    tokens[i] = data.draw(st.sampled_from(["x", "", "1.5", "+"]))
+    assert cli_run("from-kunz", f"--kunz={tokens[0]}:{','.join(tokens[1:])}")[0] == 2
+    assert cli_run("from-kunz", f"--kunz={','.join(tokens)}")[0] == 2  # no colon
+    assert cli_run("verify", f"--set={','.join(tokens)}")[0] == 2
+    assert cli_run("kunz", f"--set={','.join(tokens)}")[0] == 2
