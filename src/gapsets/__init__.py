@@ -14,7 +14,6 @@ from .census import (
     count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
-    count_m_extensions,
     enumerate_depth3_family,
 )
 from .core import (
@@ -78,7 +77,6 @@ __all__ = [
     "count_depth3_family",
     "count_gapsets",
     "count_gapsets_depth_at_most",
-    "count_m_extensions",
     "depth_window",
     "enumerate_compositions",
     "enumerate_depth3_family",

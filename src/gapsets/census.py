@@ -6,9 +6,10 @@ right.  Each coordinate is capped by the inequalities k_(i+j) <= k_i + k_j
 (i + j < m), which bind on every prefix; the wrap-around inequalities
 (i + j > m) are checked once the vector is complete.  A depth filter caps
 every coordinate and a multiplicity filter fixes their number, so both
-prune the search.  The census output is a histogram by (depth,
-multiplicity); every count is a sum over its cells.  Counts are exact and
-bounded by 2**63 - 1; the genus is capped accordingly.
+prune the search.  The one entry point, `census_histogram`, takes a
+`CensusQuery` and returns the histogram by (depth, multiplicity) of the
+gapsets it selects; every count is a sum over its cells.  Counts are
+exact and bounded by 2**63 - 1; the genus is capped accordingly.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -27,7 +28,6 @@ from typing import Iterator, Optional
 from .core import GapSet
 from .kunz import KunzVector, from_kunz
 from .sequences import fibonacci, padovan
-from .tilings import count_compositions
 
 __all__ = [
     "MAX_GENUS",
@@ -37,7 +37,6 @@ __all__ = [
     "count_depth3_family",
     "count_gapsets",
     "count_gapsets_depth_at_most",
-    "count_m_extensions",
     "enumerate_depth3_family",
 ]
 
@@ -96,18 +95,26 @@ class CensusResult:
     items: Optional[tuple[GapSet, ...]] = None
 
 
-def _gapset_coords(
-    g: int, cap: int, parts: Optional[int] = None, first: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """Kunz coordinate tuples of the gapsets of genus g with every
-    coordinate <= cap, in the lexicographic order of the composition walk.
+def _search_bounds(query: CensusQuery) -> tuple[int, Optional[int]]:
+    """The search's coordinate cap and part count for a query: its depth
+    bound (else the genus) and its multiplicity - 1 (else free)."""
+    bound = query.depth if query.depth is not None else query.max_depth
+    cap = query.genus if bound is None else bound
+    return cap, (None if query.mult is None else query.mult - 1)
 
-    `parts` fixes the number of coordinates (multiplicity - 1) and `first`
-    the first one.  Coordinates are placed left to right.  Position p is
-    capped by k_i + k_(p-i): those inequalities hold whatever the final
+
+def _gapset_coords(query: CensusQuery, first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Kunz coordinate tuples of the gapsets of the query's genus within its
+    search bounds, in the lexicographic order of the composition walk.
+
+    Every coordinate is at most the cap, `parts` (if set) fixes their
+    number, and `first` (if set) the first one; an exact depth is left to
+    the caller's filter.  Coordinates are placed left to right.  Position p
+    is capped by k_i + k_(p-i): those inequalities hold whatever the final
     length, so the search stays lexicographic across moduli.  The
     wrap-around pairs depend on the modulus and are checked at the leaf.
     """
+    cap, parts = _search_bounds(query)
     k = [0]  # k[p] is the p-th coordinate
 
     def grow(rest: int) -> Iterator[tuple[int, ...]]:
@@ -140,65 +147,59 @@ def _gapset_coords(
             yield from grow(rest - v)
             k.pop()
 
-    return grow(g)
+    return grow(query.genus)
 
 
-def _shard_firsts(g: int, cap: int, parts: Optional[int], jobs: int) -> list[Optional[int]]:
+def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     """First coordinates a census is sharded by; [None] runs it whole."""
+    g = query.genus
+    cap, parts = _search_bounds(query)
     firsts = list(range(1, min(cap, g if parts is None else g - parts + 1) + 1))
     return firsts if jobs > 1 and len(firsts) > 1 else [None]
 
 
-def _shard_histogram(args: tuple) -> Counter:
+def _shard_histogram(args: tuple[CensusQuery, Optional[int]]) -> Counter:
     hist: Counter = Counter()
     for c in _gapset_coords(*args):
         hist[max(c, default=0), len(c) + 1] += 1
     return hist
 
 
-def census_histogram(
-    g: int, max_depth: Optional[int] = None, mult: Optional[int] = None, jobs: int = 1
-) -> Counter:
-    """Number of gapsets of genus g by (depth, multiplicity).
+def census_histogram(query: CensusQuery, jobs: int = 1) -> Counter:
+    """Number of gapsets the query selects, by (depth, multiplicity).
 
-    Optional filters bound the depth and fix the multiplicity.  With
+    The query's depth bound and multiplicity prune the search.  With
     jobs > 1 the census is sharded by first coordinate and the shards are
     counted in parallel.
     """
-    CensusQuery(g, max_depth=max_depth, mult=mult)  # validates the arguments
-    cap = g if max_depth is None else max_depth
-    parts = None if mult is None else mult - 1
-    tasks = [(g, cap, parts, first) for first in _shard_firsts(g, cap, parts, jobs)]
+    tasks = [(query, first) for first in _shard_firsts(query, jobs)]
     if len(tasks) == 1:
-        return _shard_histogram(tasks[0])
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return sum(pool.map(_shard_histogram, tasks), Counter())
+        hist = _shard_histogram(tasks[0])
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            hist = sum(pool.map(_shard_histogram, tasks), Counter())
+    return Counter({cell: n for cell, n in hist.items() if query.selects(*cell)})
 
 
 def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> CensusResult:
-    """Exact number of gapsets matching the query: a sum over the cells of
+    """Exact number of gapsets matching the query: the sum of its
     `census_histogram`.
 
     Item collection always runs single-shard so the lexicographic order
     survives.
     """
     t0 = time.perf_counter()
-    g = query.genus
-    bound = query.depth if query.depth is not None else query.max_depth
-    cap = g if bound is None else bound
-    parts = None if query.mult is None else query.mult - 1
     if collect:
         items = tuple(
-            _as_gapset(g, c)
-            for c in _gapset_coords(g, cap, parts)
+            _as_gapset(query.genus, c)
+            for c in _gapset_coords(query)
             if query.selects(max(c, default=0), len(c) + 1)
         )
         return CensusResult(query, len(items), time.perf_counter() - t0, 1, items)
-    total = query.count_in(census_histogram(g, bound, query.mult, jobs))
+    total = sum(census_histogram(query, jobs).values())
     if total > _MAX_COUNT:
         raise OverflowError("census count exceeds 64 bits")
-    shards = len(_shard_firsts(g, cap, parts, jobs))
-    return CensusResult(query, total, time.perf_counter() - t0, shards)
+    return CensusResult(query, total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
 
 
 def _as_gapset(g: int, coords: tuple[int, ...]) -> GapSet:
@@ -206,23 +207,6 @@ def _as_gapset(g: int, coords: tuple[int, ...]) -> GapSet:
         return GapSet((), 0, 1, 0, 0)  # the empty gapset: multiplicity 1, depth 0
     ext = from_kunz(KunzVector(len(coords) + 1, coords))
     return GapSet(ext.elements, g, ext.modulus, ext.conductor, ext.depth)
-
-
-def count_m_extensions(g: int) -> int:
-    """Stream length of the unrestricted composition enumeration at genus g.
-
-    Always equals 2**(g-1); the count is obtained by walking the stream, so
-    the equality stays a checkable fact.  Genus 64 and above would overflow
-    64-bit counts and is rejected (and walking 2**62 items is impractical
-    anyway; tests stay near g = 20).
-    """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    if g > MAX_GENUS:
-        raise OverflowError(f"genus {g} exceeds the 64-bit count guard ({MAX_GENUS})")
-    n = count_compositions(g)
-    assert n == 1 << (g - 1), "composition stream disagrees with 2**(g-1)"
-    return n
 
 
 def count_gapsets_depth_at_most(g: int, k: int) -> int:

@@ -25,7 +25,7 @@ import tempfile
 from collections import Counter
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 # perfbench/tracing.py wraps count_gapsets_depth_at_most by name in this module
 from .census import (
@@ -212,7 +212,7 @@ class CountCache:
                 problems.append(f"{label}: not a census query")
                 continue
             if query.genus not in hists:
-                hists[query.genus] = census_histogram(query.genus, jobs=jobs)
+                hists[query.genus] = census_histogram(CensusQuery(query.genus), jobs)
             fresh = query.count_in(hists[query.genus])
             if fresh != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
@@ -257,85 +257,81 @@ def _fgqm(hists: dict[int, Counter]) -> Callable[[int, int, int], int]:
     return lambda g, q, m: hists[g][q, m]
 
 
+class TableSpec(NamedTuple):
+    """What `table` and `table_rows` know about one table."""
+
+    default_gmax: int
+    least_gmax: int
+    first_genus: int
+    mult: Optional[int]  # the multiplicity the table's census fixes, if any
+    guard: int  # a larger --gmax needs --force
+
+
+TABLES = {
+    "t1": TableSpec(10, 0, 0, None, GMAX_GUARD),
+    "t2": TableSpec(12, 3, 3, 4, 40),  # multiplicity 4 only: cheap well past the guard
+    "t3": TableSpec(10, 1, 1, None, GMAX_GUARD),
+    "t4": TableSpec(18, 4, 0, None, GMAX_GUARD),
+}
+
+
 def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[list[str]]]:
     """Header and cell rows for one of the four tables, fully recomputed.
 
     Each table runs one census per genus; every cell is a lookup into it.
     """
+    spec = TABLES[which]
+    genera = range(spec.first_genus, gmax + 1)
+    hists = {g: census_histogram(CensusQuery(g, mult=spec.mult), jobs) for g in genera}
+    ng = {g: sum(hist.values()) for g, hist in hists.items()}
+    nprime = {g: CensusQuery(g, max_depth=3).count_in(hist) for g, hist in hists.items()}
+
     if which == "t1":
         header = ["g", "2F_g", "F_{g+2}-P_{g+1}", "n'_{g-1}+n'_{g-2}", "n'_g", "n_g"]
-        hists = {g: census_histogram(g, jobs=jobs) for g in range(0, gmax + 1)}
-        nprime = {g: CensusQuery(g, max_depth=3).count_in(hist) for g, hist in hists.items()}
-        rows = []
-        for g in range(0, gmax + 1):
-            rows.append(
-                [
-                    str(g),
-                    str(2 * fibonacci(g)) if g >= 2 else "*",
-                    str(lower_bound_depth3(g)),
-                    str(nprime[g - 1] + nprime[g - 2]) if g >= 2 else "*",
-                    str(nprime[g]),
-                    str(sum(hists[g].values())),
-                ]
-            )
-        return header, rows
-
-    if which == "t2":
-        qmax = (gmax + 1) // 2
-        header = ["q\\g"] + [str(g) for g in range(3, gmax + 1)]
-        hists = {g: census_histogram(g, mult=4, jobs=jobs) for g in range(3, gmax + 1)}
-        rows = []
-        for q in range(1, qmax + 1):
-            cells = [str(q)]
-            for g in range(3, gmax + 1):
-                n = hists[g][q, 4]
-                cells.append(str(n) if n else "")
-            rows.append(cells)
-        rows.append(["N(4,g)"] + [str(sum(hists[g].values())) for g in range(3, gmax + 1)])
-        return header, rows
-
-    if which == "t3":
+        rows = [
+            [
+                str(g),
+                str(2 * fibonacci(g)) if g >= 2 else "*",
+                str(lower_bound_depth3(g)),
+                str(nprime[g - 1] + nprime[g - 2]) if g >= 2 else "*",
+                str(nprime[g]),
+                str(ng[g]),
+            ]
+            for g in genera
+        ]
+    elif which == "t2":
+        header = ["q\\g"] + [str(g) for g in genera]
+        rows = [
+            [str(q)] + [str(hists[g][q, spec.mult] or "") for g in genera]
+            for q in range(1, (gmax + 1) // 2 + 1)
+        ]
+        rows.append([f"N({spec.mult},g)"] + [str(ng[g]) for g in genera])
+    elif which == "t3":
         header = ["g", "n_g", "UB M=4", "UB M=3", "UB M=2", "2^(g-1)"]
-        hists = {g: census_histogram(g, jobs=jobs) for g in range(1, gmax + 1)}
         fgqm = _fgqm(hists)
+        rows = [
+            [str(g), str(ng[g])]
+            + [str(upper_bound_ng(g, M, fgqm)) for M in (4, 3, 2)]
+            + [str(1 << (g - 1))]
+            for g in genera
+        ]
+    else:  # t4
+        depths = list(range(0, 4)) + [None] + list(range(4, gmax + 1))
+        header = ["g\\q"] + ["n'_g" if q is None else str(q) for q in depths] + ["n_g"]
         rows = []
-        for g in range(1, gmax + 1):
-            rows.append(
-                [
-                    str(g),
-                    str(sum(hists[g].values())),
-                    str(upper_bound_ng(g, 4, fgqm)),
-                    str(upper_bound_ng(g, 3, fgqm)),
-                    str(upper_bound_ng(g, 2, fgqm)),
-                    str(1 << (g - 1)),
-                ]
-            )
-        return header, rows
-
-    if which == "t4":
-        header = ["g\\q"] + [str(q) for q in range(0, 4)] + ["n'_g"] + [
-            str(q) for q in range(4, gmax + 1)
-        ] + ["n_g"]
-        rows = []
-        for g in range(0, gmax + 1):
-            hist = census_histogram(g, jobs=jobs)
+        for g in genera:
             cells = [str(g)]
-            for q in list(range(0, 4)) + [None] + list(range(4, gmax + 1)):
+            for q in depths:
                 if q is None:
-                    cells.append(str(CensusQuery(g, max_depth=3).count_in(hist)))
-                    continue
-                if q > g or (q == 0 and g > 0):
+                    cells.append(str(nprime[g]))
+                elif q > g or (q == 0 and g > 0):
                     cells.append("")
-                    continue
-                n = CensusQuery(g, depth=q).count_in(hist)
-                answer = f_gq(g, q)
-                # bold marks the entries the closed formulas reach
-                cells.append(f"**{n}**" if answer.covered else str(n))
-            cells.append(str(sum(hist.values())))
-            rows.append(cells)
-        return header, rows
-
-    raise ValueError(f"unknown table {which!r}")
+                else:
+                    n = CensusQuery(g, depth=q).count_in(hists[g])
+                    # bold marks the entries the closed formulas reach
+                    cells.append(f"**{n}**" if f_gq(g, q).covered else str(n))
+            rows.append(cells + [str(ng[g])])
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +495,12 @@ def cmd_from_kunz(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    defaults = {"t1": 10, "t2": 12, "t3": 10, "t4": 18}
-    gmax = args.gmax if args.gmax is not None else defaults[args.which]
-    floor = {"t1": 0, "t2": 3, "t3": 1, "t4": 4}[args.which]
-    if gmax < floor:
-        print(f"error: --gmax must be >= {floor} for {args.which}", file=sys.stderr)
+    spec = TABLES[args.which]
+    gmax = args.gmax if args.gmax is not None else spec.default_gmax
+    if gmax < spec.least_gmax:
+        print(f"error: --gmax must be >= {spec.least_gmax} for {args.which}", file=sys.stderr)
         return EXIT_USAGE
-    if _over_guard("--gmax", gmax, 40 if args.which == "t2" else GMAX_GUARD, args.force):
+    if _over_guard("--gmax", gmax, spec.guard, args.force):
         return EXIT_USAGE
     render = _render_csv if args.format == "csv" else _render_markdown
     sys.stdout.write(render(*table_rows(args.which, gmax, jobs=args.jobs)))
@@ -517,7 +512,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if _over_guard("genus", g, GMAX_GUARD, args.force):
         return EXIT_USAGE
     lower = lower_bound_depth3(g)
-    hist = census_histogram(g, jobs=args.jobs)
+    hist = census_histogram(CensusQuery(g), args.jobs)
     nprime = CensusQuery(g, max_depth=3).count_in(hist)
     ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
@@ -591,11 +586,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     if _over_guard("--gmax", args.gmax, GMAX_GUARD, args.force):
         return EXIT_USAGE
     path = Path(args.bfile) if args.bfile else bundled_bfile()
-    try:
-        by_index = parse_bfile(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    by_index = parse_bfile(path)
     ng = [count_gapsets(CensusQuery(g), jobs=args.jobs).count for g in range(0, args.gmax + 1)]
 
     # our own census must reproduce the known first terms before it is
@@ -675,11 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "classify one set")
     p.add_argument("--set", required=True, help='set literal, e.g. "1,2,4,7,10"')
-    p.add_argument("--mult", type=int, default=None, help="modulus for the m-extension check")
+    p.add_argument("--mult", type=at_least(2), default=None, help="modulus for the m-extension check")
 
     p = command("kunz", cmd_kunz, "Kunz coordinates of a set")
     p.add_argument("--set", required=True)
-    p.add_argument("--mult", type=int, default=None)
+    p.add_argument("--mult", type=at_least(2), default=None)
 
     p = command("from-kunz", cmd_from_kunz, "rebuild the set from coordinates")
     p.add_argument("--kunz", required=True, help='vector literal, e.g. "4:4,4,3"')
@@ -688,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table", cmd_table, "recompute one of the reference tables",
         formats=("markdown", "csv"), jobs=True, force=True,
     )
-    p.add_argument("--which", choices=["t1", "t2", "t3", "t4"], required=True)
+    p.add_argument("--which", choices=list(TABLES), required=True)
     p.add_argument("--gmax", type=int, default=None)
 
     p = command("bounds", cmd_bounds, "bound sandwich for one genus", jobs=True, force=True)
@@ -727,7 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,12 +54,14 @@ def fibonacci_k(k: int, n: int) -> int:
         raise ValueError(f"index must be >= {-k + 2} for k={k}, got {n}")
     if n <= 1:
         return 1 if n == 1 else 0
-    # window holds the last k values; a running sum avoids re-summing it
-    window = deque([0] * (k - 1) + [1], maxlen=k)
+    # window holds the last min(k, n) values from index 1 on; while it
+    # holds fewer than k, the value k steps back is one of the initial 0s.
+    # A running sum of the last k values avoids re-summing them.
+    window = deque([1], maxlen=min(k, n))
     total = 1
     for _ in range(n - 1):
         nxt = _checked(total, "k-step fibonacci value")
-        total += nxt - window[0]
+        total += nxt - (window[0] if len(window) == k else 0)
         window.append(nxt)
     return window[-1]
 

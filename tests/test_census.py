@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -8,7 +9,6 @@ from gapsets.census import (
     count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
-    count_m_extensions,
     enumerate_depth3_family,
 )
 from gapsets.core import classify_gapset, GapSet
@@ -47,16 +47,6 @@ def test_query_validation():
         CensusQuery(4, mult=1)
     with pytest.raises(OverflowError):
         count_gapsets(CensusQuery(64))
-
-
-def test_m_extension_counts():
-    assert count_m_extensions(1) == 1
-    assert count_m_extensions(8) == 128
-    assert count_m_extensions(20) == 524288
-    with pytest.raises(ValueError):
-        count_m_extensions(0)
-    with pytest.raises(OverflowError):
-        count_m_extensions(64)
 
 
 def test_depth_at_most():
@@ -98,7 +88,7 @@ def test_partition_consistency():
                 by_depth_mult[(max(c), len(c) + 1)] += 1
         assert sum(by_depth.values()) == NG[g]
         assert sum(by_depth.values()) == count_gapsets(q(g)).count
-        assert census_histogram(g) == by_depth_mult
+        assert census_histogram(q(g)) == by_depth_mult
         for depth, n in by_depth.items():
             assert count_gapsets(q(g, depth=depth)).count == n
             assert sum(v for (d, _), v in by_depth_mult.items() if d == depth) == n
@@ -129,8 +119,8 @@ def test_depth_window_over_census():
 def test_sharded_equals_unsharded():
     for g in (9, 12, 14):
         assert count_gapsets(q(g), jobs=2).count == count_gapsets(q(g)).count
-        assert census_histogram(g, jobs=2) == census_histogram(g)
-    assert census_histogram(14, max_depth=5, mult=5, jobs=2) == census_histogram(14, max_depth=5, mult=5)
+        assert census_histogram(q(g), jobs=2) == census_histogram(q(g))
+    assert census_histogram(q(14, max_depth=5, mult=5), jobs=2) == census_histogram(q(14, max_depth=5, mult=5))
     r = count_gapsets(q(13), jobs=3)
     assert r.count == NG[13]
     assert r.shards == 13
@@ -154,10 +144,10 @@ def test_pool_never_larger_than_the_shard_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    expected = census_histogram(10, jobs=1)
+    expected = census_histogram(q(10), jobs=1)
     monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessPool)
-    assert census_histogram(10, jobs=10_000) == expected
-    assert len(asked) == 1 and 1 <= asked[0] <= len(census._shard_firsts(10, 10, None, 10_000))
+    assert census_histogram(q(10), jobs=10_000) == expected
+    assert len(asked) == 1 and 1 <= asked[0] <= len(census._shard_firsts(q(10), 10_000))
 
 
 def test_collect_matches_count_and_order():
@@ -214,3 +204,40 @@ def test_depth3_family_identity():
     for g in range(0, 19):
         assert count_depth3_family(g) + fibonacci(g + 1) == fibonacci(g + 2) - padovan(g + 1)
         assert count_depth3_family(g) + fibonacci(g + 1) <= count_gapsets_depth_at_most(g, 3)
+
+
+def test_filtered_histogram_is_the_selected_cells():
+    for g in range(0, 13):
+        full = census_histogram(q(g))
+        queries = [q(g, depth=d) for d in range(0, g + 1)] + [
+            q(g, max_depth=d, mult=m) for d in range(0, g + 1) for m in (None, 2, 3, 4, g + 2)
+        ]
+        for query in queries:
+            want = Counter({cell: n for cell, n in full.items() if query.selects(*cell)})
+            assert census_histogram(query) == want, query
+
+
+def semigroup_tree_histograms(gmax):
+    """(depth, multiplicity) histograms by genus from the tree of numerical
+    semigroups: a node's children remove one of its minimal generators
+    above its Frobenius number.  No Kunz coordinates, no compositions."""
+    hists = [Counter() for _ in range(gmax + 1)]
+
+    def grow(gaps, frobenius):
+        m = next(s for s in count(1) if s not in gaps)
+        conductor = frobenius + 1
+        hists[len(gaps)][-(-conductor // m), m] += 1
+        if len(gaps) == gmax:
+            return
+        # a generator is at most conductor + m - 1; x > frobenius lies in S
+        for x in range(max(frobenius + 1, 1), conductor + m + 1):
+            if all(a in gaps or x - a in gaps for a in range(1, x // 2 + 1)):
+                grow(gaps | {x}, x)
+
+    grow(frozenset(), -1)
+    return hists
+
+
+def test_semigroup_tree_agrees_with_the_census():
+    for g, hist in enumerate(semigroup_tree_histograms(16)):
+        assert +hist == census_histogram(q(g)), g

@@ -378,6 +378,19 @@ def test_jobs_below_one_rejected(capsys, argv):
         assert code == 2 and out == "" and "--jobs" in err
 
 
+def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
+    cache_path = tmp_path / "missing" / "c.json"  # its directory does not exist
+    code, out, err = run(capsys, "count", "--genus", "5", "--cache", str(cache_path))
+    assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "kunz"])
+@pytest.mark.parametrize("mult", ["0", "1", "-3"])
+def test_explicit_mult_below_two_rejected(capsys, command, mult):
+    code, out, err = run(capsys, command, "--set", "1,2", "--mult", mult)
+    assert code == 2 and out == "" and "argument --mult" in err
+
+
 def cli_run(*argv):
     """Exit code and stdout of one CLI call (capsys does not mix with Hypothesis)."""
     out, err = io.StringIO(), io.StringIO()

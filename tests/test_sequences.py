@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from gapsets.sequences import (
@@ -70,6 +72,17 @@ def test_power_of_two_head():
 def test_fibonacci_k_order_2_is_fibonacci():
     for n in range(0, 151):
         assert fibonacci_k(2, n) == fibonacci(n)
+
+
+def test_fibonacci_k_memory_does_not_grow_with_the_order():
+    # below index k + 2 the sequence doubles, so a large order needs no k-entry window
+    tracemalloc.start()
+    try:
+        assert fibonacci_k(10**6, 30) == 1 << 28
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_padovan_prefix():
