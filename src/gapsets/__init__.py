@@ -10,7 +10,7 @@ evaluates the known closed formulas and bounds against that census.
 from .census import (
     CensusQuery,
     CensusResult,
-    census_histogram,
+    census_histograms,
     count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
@@ -69,7 +69,7 @@ __all__ = [
     "MExtension",
     "MExtensionRejection",
     "as_elements",
-    "census_histogram",
+    "census_histograms",
     "classify_gapset",
     "classify_m_extension",
     "compositions_fixed_parts",

@@ -1,15 +1,15 @@
 """Exhaustive, exact counting of gapsets by genus, depth and multiplicity.
 
-One engine enumerates the Kunz coordinate vectors of the gapsets of a
-genus directly, as a depth-first search that places coordinates left to
-right.  Each coordinate is capped by the inequalities k_(i+j) <= k_i + k_j
-(i + j < m), which bind on every prefix; the wrap-around inequalities
-(i + j > m) are checked once the vector is complete.  A depth filter caps
-every coordinate and a multiplicity filter fixes their number, so both
-prune the search.  The one entry point, `census_histogram`, takes a
-`CensusQuery` and returns the histogram by (depth, multiplicity) of the
-gapsets it selects; every count is a sum over its cells.  Counts are
-exact and bounded by 2**63 - 1; the genus is capped accordingly.
+One engine enumerates Kunz coordinate vectors as a depth-first search that
+places coordinates left to right; each node is a candidate gapset of genus
+equal to its coordinate sum, so the search up to genus G passes through
+every lower genus too.  Coordinates are capped by k_(i+j) <= k_i + k_j
+(i + j < m), which binds on every prefix; the wrap-around pairs (i + j > m)
+are checked at the nodes counted.  A depth filter caps every coordinate and
+a multiplicity filter fixes their number, so both prune the search.  The
+one entry point, `census_histograms`, returns the (depth, multiplicity)
+histograms of the gapsets a `CensusQuery` selects, one per genus.  Counts
+are exact and bounded by 2**63 - 1; the genus is capped accordingly.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -23,6 +23,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 from .core import GapSet
@@ -33,7 +34,7 @@ __all__ = [
     "MAX_GENUS",
     "CensusQuery",
     "CensusResult",
-    "census_histogram",
+    "census_histograms",
     "count_depth3_family",
     "count_gapsets",
     "count_gapsets_depth_at_most",
@@ -72,8 +73,8 @@ class CensusQuery:
             raise ValueError(f"multiplicity filter must be >= 2, got {self.mult}")
 
     def selects(self, depth: int, mult: int) -> bool:
-        """Whether a gapset of this genus with that depth and multiplicity
-        passes the filters."""
+        """Whether a gapset with that depth and multiplicity passes the
+        filters."""
         return (
             (self.depth is None or depth == self.depth)
             and (self.max_depth is None or depth <= self.max_depth)
@@ -82,7 +83,7 @@ class CensusQuery:
 
     def count_in(self, hist: Counter) -> int:
         """Sum of the selected cells of a (depth, multiplicity) histogram
-        of this genus, as `census_histogram` returns it."""
+        of one genus, as `census_histograms` returns it."""
         return sum(n for (q, m), n in hist.items() if self.selects(q, m))
 
 
@@ -103,51 +104,58 @@ def _search_bounds(query: CensusQuery) -> tuple[int, Optional[int]]:
     return cap, (None if query.mult is None else query.mult - 1)
 
 
-def _gapset_coords(query: CensusQuery, first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Kunz coordinate tuples of the gapsets of the query's genus within its
-    search bounds, in the lexicographic order of the composition walk.
+def _gapset_coords(query: CensusQuery, low: int, first: Optional[int] = None) -> Iterator[tuple]:
+    """(genus, (0, k_1, ..., k_(m-1))) for the gapsets of each genus from
+    `low` up to the query's within its search bounds, each genus in the
+    lexicographic order of the composition walk; indexed by residue, so the
+    depth is the max and the modulus m the length.
 
     Every coordinate is at most the cap, `parts` (if set) fixes their
-    number, and `first` (if set) the first one; an exact depth is left to
-    the caller's filter.  Coordinates are placed left to right.  Position p
-    is capped by k_i + k_(p-i): those inequalities hold whatever the final
-    length, so the search stays lexicographic across moduli.  The
-    wrap-around pairs depend on the modulus and are checked at the leaf.
+    number, and `first` (if set) the first one; the shard of first
+    coordinate 1 also owns the empty gapset.  An exact depth is left to the
+    caller's filter.  Position p is capped by k_i + k_(p-i) whatever the
+    final length; only nodes of genus `low` or more pay the wrap-around check.
     """
+    genus = query.genus
     cap, parts = _search_bounds(query)
-    k = [0]  # k[p] is the p-th coordinate
+    k = [0]  # k[i] is the coordinate of residue i
 
-    def grow(rest: int) -> Iterator[tuple[int, ...]]:
-        p = len(k)
-        if rest == 0:
-            if parts is not None and parts != p - 1:
-                return  # only at genus 0: no coordinates at all
-            # the modulus is p; each wrap-around pair i + j = p + t needs
-            # k_t <= k_i + k_j + 1, which only a k_t >= 4 can break
-            for t in range(1, p - 1):
-                if k[t] > 3:
-                    for i in range(t + 1, (p + t) // 2 + 1):
-                        if k[i] + k[p + t - i] + 1 < k[t]:
-                            return
-            yield tuple(k[1:])
-            return
-        hi = min(cap, rest)
+    def grow(g: int) -> Iterator[tuple]:
+        p = len(k)  # the position placed next
+        m = p + 1  # the modulus of the nodes placed here
+        hi = min(cap, genus - g)
         for i in range(1, p // 2 + 1):
             if k[i] + k[p - i] < hi:
                 hi = k[i] + k[p - i]
         lo = 1
         if parts is not None:  # every later slot takes between 1 and cap
             after = parts - p
-            hi = min(hi, rest - after)
-            lo = max(lo, rest - cap * after)
+            hi = min(hi, genus - g - after)
+            lo = max(lo, low - g - cap * after)
         if p == 1 and first is not None:
             lo, hi = max(lo, first), min(hi, first)
+        counted = low if parts in (None, p) else genus + 1  # nodes placed here count from this genus
+        growing = genus if parts != p else 0  # ... and have children below this one
         for v in range(lo, hi + 1):
             k.append(v)
-            yield from grow(rest - v)
+            h = g + v
+            if h >= counted:
+                # each wrap-around pair i + j = m + t needs k_t <= k_i + k_j + 1: only a k_t >= 4 can fail
+                for t in range(1, m - 1):
+                    if k[t] > 3:
+                        for i in range(t + 1, (m + t) // 2 + 1):
+                            if k[i] + k[m + t - i] + 1 < k[t]:
+                                break
+                        else:
+                            continue
+                        break  # a pair failed
+                else:
+                    yield h, tuple(k)
+            if h < growing:
+                yield from grow(h)
             k.pop()
 
-    return grow(query.genus)
+    return chain([(0, (0,))] if low == 0 and parts is None and first in (None, 1) else [], grow(0))
 
 
 def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
@@ -158,32 +166,38 @@ def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     return firsts if jobs > 1 and len(firsts) > 1 else [None]
 
 
-def _shard_histogram(args: tuple[CensusQuery, Optional[int]]) -> Counter:
+def _shard_histogram(args: tuple[CensusQuery, int, Optional[int]]) -> Counter:
     hist: Counter = Counter()
-    for c in _gapset_coords(*args):
-        hist[max(c, default=0), len(c) + 1] += 1
+    for g, k in _gapset_coords(*args):
+        hist[g, max(k), len(k)] += 1
     return hist
 
 
-def census_histogram(query: CensusQuery, jobs: int = 1) -> Counter:
-    """Number of gapsets the query selects, by (depth, multiplicity).
-
-    The query's depth bound and multiplicity prune the search.  With
-    jobs > 1 the census is sharded by first coordinate and the shards are
-    counted in parallel.
+def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = None) -> dict[int, Counter]:
+    """Number of gapsets the query selects, by (depth, multiplicity), for
+    each genus from `low` (default: the query's genus) up to the query's,
+    all from one search.  With jobs > 1 it is sharded by first coordinate
+    and the shards are counted in parallel, in one pool.
     """
-    tasks = [(query, first) for first in _shard_firsts(query, jobs)]
+    low = query.genus if low is None else low
+    if not 0 <= low <= query.genus:
+        raise ValueError(f"low genus must be in 0..{query.genus}, got {low}")
+    tasks = [(query, low, first) for first in _shard_firsts(query, jobs)]
     if len(tasks) == 1:
-        hist = _shard_histogram(tasks[0])
+        flat = _shard_histogram(tasks[0])
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            hist = sum(pool.map(_shard_histogram, tasks), Counter())
-    return Counter({cell: n for cell, n in hist.items() if query.selects(*cell)})
+            flat = sum(pool.map(_shard_histogram, tasks), Counter())
+    hists = {g: Counter() for g in range(low, query.genus + 1)}
+    for (g, q, m), n in flat.items():
+        if query.selects(q, m):
+            hists[g][q, m] = n
+    return hists
 
 
 def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> CensusResult:
     """Exact number of gapsets matching the query: the sum of its
-    `census_histogram`.
+    `census_histograms` histogram.
 
     Item collection always runs single-shard so the lexicographic order
     survives.
@@ -191,12 +205,12 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
     t0 = time.perf_counter()
     if collect:
         items = tuple(
-            _as_gapset(query.genus, c)
-            for c in _gapset_coords(query)
-            if query.selects(max(c, default=0), len(c) + 1)
+            _as_gapset(query.genus, k[1:])
+            for _, k in _gapset_coords(query, query.genus)
+            if query.selects(max(k), len(k))
         )
         return CensusResult(query, len(items), time.perf_counter() - t0, 1, items)
-    total = sum(census_histogram(query, jobs).values())
+    total = sum(census_histograms(query, jobs)[query.genus].values())
     if total > _MAX_COUNT:
         raise OverflowError("census count exceeds 64 bits")
     return CensusResult(query, total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))

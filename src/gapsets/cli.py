@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 # perfbench/tracing.py wraps count_gapsets_depth_at_most by name in this module
 from .census import (
     CensusQuery,
-    census_histogram,
+    census_histograms,
     count_gapsets,
     count_gapsets_depth_at_most,
 )
@@ -199,22 +199,22 @@ class CountCache:
                 os.unlink(tmp)
                 raise
 
-    def selfcheck(self, jobs: int = 1) -> list[str]:
-        """Check every cached entry against one unfiltered census of its
-        genus; returns mismatch descriptions."""
-        problems = []
-        hists: dict[int, Counter] = {}
+    def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
+        """Check every cached entry against one unfiltered census up to the
+        largest cached genus, which must pass the guard; returns mismatch
+        descriptions."""
+        problems, checks = [], []
         for key, cached in self.entries.items():
             label = " ".join(f"{f}={v}" for f, v in zip(QUERY_FIELDS, key))
             try:
-                query = CensusQuery(*key)
+                checks.append((label, CensusQuery(*key), cached))
             except (TypeError, ValueError, OverflowError):
                 problems.append(f"{label}: not a census query")
-                continue
-            if query.genus not in hists:
-                hists[query.genus] = census_histogram(CensusQuery(query.genus), jobs)
-            fresh = query.count_in(hists[query.genus])
-            if fresh != cached:
+        gmax = max((query.genus for _, query, _ in checks), default=0)
+        _guard("genus", gmax, GMAX_GUARD, force)
+        hists = census_histograms(CensusQuery(gmax), jobs, low=0)
+        for label, query, cached in checks:
+            if (fresh := query.count_in(hists[query.genus])) != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
         return problems
 
@@ -278,11 +278,11 @@ TABLES = {
 def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[list[str]]]:
     """Header and cell rows for one of the four tables, fully recomputed.
 
-    Each table runs one census per genus; every cell is a lookup into it.
+    Each table runs one census for all its genera; every cell is a lookup into it.
     """
     spec = TABLES[which]
     genera = range(spec.first_genus, gmax + 1)
-    hists = {g: census_histogram(CensusQuery(g, mult=spec.mult), jobs) for g in genera}
+    hists = census_histograms(CensusQuery(gmax, mult=spec.mult), jobs, low=spec.first_genus)
     ng = {g: sum(hist.values()) for g, hist in hists.items()}
     nprime = {g: CensusQuery(g, max_depth=3).count_in(hist) for g, hist in hists.items()}
 
@@ -338,21 +338,17 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
 # subcommands
 
 
-def _over_guard(what: str, value: int, guard: int, force: bool) -> bool:
-    """Whether a run is past a desk-scale guard; if so, says how to force it."""
+def _guard(what: str, value: int, guard: int, force: bool) -> None:
+    """Refuse a run past a desk-scale guard, saying how to force it."""
     if value > guard and not force:
-        print(f"error: {what} {value} above guard {guard}; pass --force", file=sys.stderr)
-        return True
-    return False
+        raise ValueError(f"{what} {value} above guard {guard}; pass --force")
 
 
-def _census_query(args: argparse.Namespace) -> Optional[CensusQuery]:
-    """The query of count's or enumerate's flags; None if --genus is missing or past the guard."""
+def _census_query(args: argparse.Namespace) -> CensusQuery:
+    """The query of count's or enumerate's flags, which must name a genus within the guard."""
     if args.genus is None:
-        print("error: --genus is required", file=sys.stderr)
-        return None
-    if _over_guard("genus", args.genus, GMAX_GUARD, args.force):
-        return None
+        raise ValueError("--genus is required")
+    _guard("genus", args.genus, GMAX_GUARD, args.force)
     return CensusQuery(args.genus, args.depth, args.max_depth, args.mult)
 
 
@@ -360,10 +356,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     cache = CountCache(Path(args.cache)) if args.cache else None
 
     if args.selfcheck:
-        if cache is None:
-            print("error: --selfcheck needs --cache", file=sys.stderr)
-            return EXIT_USAGE
-        problems = cache.selfcheck(jobs=args.jobs)
+        if cache is None or any(getattr(args, field) is not None for field in QUERY_FIELDS):
+            raise ValueError("--selfcheck needs --cache and takes no query flags")
+        problems = cache.selfcheck(jobs=args.jobs, force=args.force)
         for p in problems:
             print(p)
         if problems:
@@ -372,8 +367,6 @@ def cmd_count(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     query = _census_query(args)
-    if query is None:
-        return EXIT_USAGE
     count = cache.get(query) if cache else None
     cached = count is not None
     elapsed_ms, shards = 0.0, 0
@@ -398,8 +391,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     query = _census_query(args)
-    if query is None:
-        return EXIT_USAGE
     items = count_gapsets(query, collect=True).items
     # a GapSet's fields, in order, are the keys of its JSON record
     record = {"count": len(items), "items": [vars(item) for item in items]}
@@ -470,8 +461,7 @@ def cmd_kunz(args: argparse.Namespace) -> int:
     elements = tuple(sorted(parse_set(args.set)))
     m = args.mult if args.mult is not None else invariants(elements)[1]
     if m < 2:
-        print("error: modulus would be 1; pass --mult", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("modulus would be 1; pass --mult")
     ext = classify_m_extension(elements, m)
     if not isinstance(ext, MExtension):
         print(str(ext), file=sys.stderr)
@@ -498,10 +488,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     spec = TABLES[args.which]
     gmax = args.gmax if args.gmax is not None else spec.default_gmax
     if gmax < spec.least_gmax:
-        print(f"error: --gmax must be >= {spec.least_gmax} for {args.which}", file=sys.stderr)
-        return EXIT_USAGE
-    if _over_guard("--gmax", gmax, spec.guard, args.force):
-        return EXIT_USAGE
+        raise ValueError(f"--gmax must be >= {spec.least_gmax} for {args.which}")
+    _guard("--gmax", gmax, spec.guard, args.force)
     render = _render_csv if args.format == "csv" else _render_markdown
     sys.stdout.write(render(*table_rows(args.which, gmax, jobs=args.jobs)))
     return EXIT_OK
@@ -509,10 +497,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = args.genus
-    if _over_guard("genus", g, GMAX_GUARD, args.force):
-        return EXIT_USAGE
+    _guard("genus", g, GMAX_GUARD, args.force)
     lower = lower_bound_depth3(g)
-    hist = census_histogram(CensusQuery(g), args.jobs)
+    hist = census_histograms(CensusQuery(g), args.jobs)[g]
     nprime = CensusQuery(g, max_depth=3).count_in(hist)
     ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
@@ -571,8 +558,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
         value = fibonacci(args.n)
     elif name == "fibonacci-k":
         if args.k is None:
-            print("error: --k is required for fibonacci-k", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--k is required for fibonacci-k")
         value = fibonacci_k(args.k, args.n)
     elif name == "padovan":
         value = padovan(args.n)
@@ -583,11 +569,11 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
-    if _over_guard("--gmax", args.gmax, GMAX_GUARD, args.force):
-        return EXIT_USAGE
+    _guard("--gmax", args.gmax, GMAX_GUARD, args.force)
     path = Path(args.bfile) if args.bfile else bundled_bfile()
     by_index = parse_bfile(path)
-    ng = [count_gapsets(CensusQuery(g), jobs=args.jobs).count for g in range(0, args.gmax + 1)]
+    hists = census_histograms(CensusQuery(args.gmax), args.jobs, low=0)
+    ng = [sum(hist.values()) for hist in hists.values()]
 
     # our own census must reproduce the known first terms before it is
     # allowed to judge anybody else's data

@@ -1,16 +1,20 @@
-"""The benchmark in perfbench/ reaches into the package by name.
+"""The benchmark in perfbench/ reaches into the package by name and argv.
 
 `perfbench/tracing.py` rebinds the names in its BOUNDARIES by getattr, and
-its `run_probes` calls a few library functions that no CLI path uses.  A
-rename or deletion would only show when the benchmark runs; this test
-makes it show in the suite.
+its `run_probes` calls a few library functions that no CLI path uses;
+`perfbench/workloads.py` builds the argv of every op it runs.  A rename,
+deletion or flag change would only show when the benchmark runs; these
+tests make it show in the suite.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from gapsets.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # what run_probes calls
 PROBED = [
@@ -22,15 +26,16 @@ PROBED = [
 ]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_boundaries_resolve():
-    for module_name, layers in load_tracing().BOUNDARIES.items():
+    for module_name, layers in load("tracing").BOUNDARIES.items():
         module = importlib.import_module(module_name)
         for names in layers.values():
             for name in names:
@@ -40,3 +45,12 @@ def test_traced_boundaries_resolve():
 def test_probed_names_resolve():
     for module_name, name in PROBED:
         assert callable(getattr(importlib.import_module(module_name), name, None)), f"{module_name}.{name}"
+
+
+def test_workload_argvs_parse():
+    workloads = load("workloads")
+    parser = build_parser()
+    for name in workloads.WORKLOADS:
+        for scale in ("full", "smoke"):
+            for op in workloads.make_ops(name, seed=1, scale=scale):
+                parser.parse_args(op.argv)  # exits on an unknown flag or a bad value

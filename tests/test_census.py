@@ -5,7 +5,7 @@ import pytest
 
 from gapsets.census import (
     CensusQuery,
-    census_histogram,
+    census_histograms,
     count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
@@ -47,6 +47,9 @@ def test_query_validation():
         CensusQuery(4, mult=1)
     with pytest.raises(OverflowError):
         count_gapsets(CensusQuery(64))
+    for low in (-1, 5):
+        with pytest.raises(ValueError):
+            census_histograms(CensusQuery(4), low=low)
 
 
 def test_depth_at_most():
@@ -88,7 +91,7 @@ def test_partition_consistency():
                 by_depth_mult[(max(c), len(c) + 1)] += 1
         assert sum(by_depth.values()) == NG[g]
         assert sum(by_depth.values()) == count_gapsets(q(g)).count
-        assert census_histogram(q(g)) == by_depth_mult
+        assert census_histograms(q(g))[g] == by_depth_mult
         for depth, n in by_depth.items():
             assert count_gapsets(q(g, depth=depth)).count == n
             assert sum(v for (d, _), v in by_depth_mult.items() if d == depth) == n
@@ -116,17 +119,34 @@ def test_depth_window_over_census():
                 assert -(-g // (m - 1)) <= depth <= -(-2 * g // m)
 
 
+def one_pass_filters(G):
+    """The filters the one-pass histograms are checked under."""
+    return [{}, {"max_depth": 4}, {"depth": 5}, {"mult": 4}, {"mult": G // 2 + 1}]
+
+
 def test_sharded_equals_unsharded():
     for g in (9, 12, 14):
         assert count_gapsets(q(g), jobs=2).count == count_gapsets(q(g)).count
-        assert census_histogram(q(g), jobs=2) == census_histogram(q(g))
-    assert census_histogram(q(14, max_depth=5, mult=5), jobs=2) == census_histogram(q(14, max_depth=5, mult=5))
+        assert census_histograms(q(g), jobs=2)[g] == census_histograms(q(g))[g]
+    assert census_histograms(q(14, max_depth=5, mult=5), jobs=2)[14] == census_histograms(q(14, max_depth=5, mult=5))[14]
+    for f in one_pass_filters(16):  # every genus from 0, the empty gapset's shard included
+        assert census_histograms(q(16, **f), jobs=2, low=0) == census_histograms(q(16, **f), low=0), f
     r = count_gapsets(q(13), jobs=3)
     assert r.count == NG[13]
     assert r.shards == 13
 
 
-def test_pool_never_larger_than_the_shard_count(monkeypatch):
+def test_one_pass_equals_the_per_genus_loop():
+    for G in (12, 16):
+        for f in one_pass_filters(G):
+            per_genus = {g: census_histograms(q(g, **f))[g] for g in range(G + 1)}
+            assert census_histograms(q(G, **f), low=0) == per_genus, (G, f)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The census's process pool replaced by one that runs in this process;
+    returns the sizes asked of every pool built."""
     from gapsets import census
 
     asked = []
@@ -144,10 +164,26 @@ def test_pool_never_larger_than_the_shard_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    expected = census_histogram(q(10), jobs=1)
     monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessPool)
-    assert census_histogram(q(10), jobs=10_000) == expected
-    assert len(asked) == 1 and 1 <= asked[0] <= len(census._shard_firsts(q(10), 10_000))
+    return asked
+
+
+def test_pool_never_larger_than_the_shard_count(pool_sizes):
+    from gapsets import census
+
+    expected = census_histograms(q(10), jobs=1)[10]
+    assert census_histograms(q(10), jobs=10_000)[10] == expected
+    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(census._shard_firsts(q(10), 10_000))
+
+
+def test_one_pool_per_command(pool_sizes, capsys):
+    from gapsets.cli import main
+
+    for argv in (["table", "--which", "t1", "--gmax", "12", "--jobs", "2"], ["oeis", "--gmax", "12", "--jobs", "2"]):
+        pool_sizes.clear()
+        assert main(argv) == 0
+        assert len(pool_sizes) == 1, argv
+    capsys.readouterr()
 
 
 def test_collect_matches_count_and_order():
@@ -208,13 +244,13 @@ def test_depth3_family_identity():
 
 def test_filtered_histogram_is_the_selected_cells():
     for g in range(0, 13):
-        full = census_histogram(q(g))
+        full = census_histograms(q(g))[g]
         queries = [q(g, depth=d) for d in range(0, g + 1)] + [
             q(g, max_depth=d, mult=m) for d in range(0, g + 1) for m in (None, 2, 3, 4, g + 2)
         ]
         for query in queries:
             want = Counter({cell: n for cell, n in full.items() if query.selects(*cell)})
-            assert census_histogram(query) == want, query
+            assert census_histograms(query)[g] == want, query
 
 
 def semigroup_tree_histograms(gmax):
@@ -239,5 +275,7 @@ def semigroup_tree_histograms(gmax):
 
 
 def test_semigroup_tree_agrees_with_the_census():
-    for g, hist in enumerate(semigroup_tree_histograms(16)):
-        assert +hist == census_histogram(q(g)), g
+    tree = semigroup_tree_histograms(16)
+    for g, hist in enumerate(tree):
+        assert +hist == census_histograms(q(g))[g], g
+    assert census_histograms(q(16), low=0) == {g: +hist for g, hist in enumerate(tree)}

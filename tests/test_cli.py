@@ -149,6 +149,25 @@ def test_cache_selfcheck(tmp_path, capsys):
     assert code == 3 and "!=" in out
 
 
+def test_selfcheck_takes_no_query_flags(tmp_path, capsys):
+    cache_path = tmp_path / "cache.json"
+    cache = CountCache(cache_path)
+    cache.put(CensusQuery(7), 39)
+    cache.save()
+    for flag, value in (("--genus", "7"), ("--depth", "2"), ("--max-depth", "3"), ("--mult", "3")):
+        code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path), flag, value)
+        assert code == 2 and out == "" and "error:" in err, flag
+
+
+def test_selfcheck_guard(tmp_path, capsys):
+    # what `count --genus 30 --mult 3 --force --cache PATH` writes
+    cache_path = tmp_path / "cache.json"
+    entry = {"genus": 30, "depth": None, "max_depth": None, "mult": 3, "count": 11}
+    cache_path.write_text(json.dumps({"schema_version": 2, "entries": [entry]}))
+    code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert code == 2 and out == "" and "--force" in err
+
+
 def test_cache_selfcheck_random_queries(tmp_path, capsys):
     import random
 
