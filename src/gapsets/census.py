@@ -51,7 +51,8 @@ class CensusQuery:
     """What to count: a genus with optional depth and multiplicity filters.
 
     `depth` asks for that exact depth, `max_depth` for all depths up to the
-    bound; at most one may be set.  `mult` fixes the multiplicity.
+    bound; at most one may be set.  `mult` fixes the multiplicity.  Every
+    field set is an int; anything else is a TypeError.
     """
 
     genus: int
@@ -60,6 +61,9 @@ class CensusQuery:
     mult: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not int and (name == "genus" or value is not None):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
         if self.genus > MAX_GENUS:
@@ -89,7 +93,6 @@ class CensusQuery:
 
 @dataclass(frozen=True)
 class CensusResult:
-    query: CensusQuery
     count: int
     elapsed: float
     shards: int
@@ -209,11 +212,11 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
             for _, k in _gapset_coords(query, query.genus)
             if query.selects(max(k), len(k))
         )
-        return CensusResult(query, len(items), time.perf_counter() - t0, 1, items)
+        return CensusResult(len(items), time.perf_counter() - t0, 1, items)
     total = sum(census_histograms(query, jobs)[query.genus].values())
     if total > _MAX_COUNT:
         raise OverflowError("census count exceeds 64 bits")
-    return CensusResult(query, total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
+    return CensusResult(total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
 
 
 def _as_gapset(g: int, coords: tuple[int, ...]) -> GapSet:

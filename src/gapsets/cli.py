@@ -22,7 +22,6 @@ import operator
 import os
 import sys
 import tempfile
-from collections import Counter
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -159,15 +158,17 @@ class CountCache:
         self.entries: dict[tuple, int] = self._load()
 
     def _load(self) -> dict[tuple, int]:
-        """The file's entries; none if it is missing, unreadable or of another schema."""
+        """The file's entries; none if it is missing, unreadable, of another
+        schema or without an entry list.  A malformed entry is skipped."""
         try:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             return {}
         if not isinstance(doc, dict) or doc.get("schema_version") != self.SCHEMA_VERSION:
             return {}
+        records = doc.get("entries")
         entries = {}
-        for rec in doc.get("entries", []):
+        for rec in records if isinstance(records, list) else []:
             try:
                 entries[_record_key(rec)] = int(rec["count"])
             except (KeyError, TypeError, ValueError):
@@ -252,11 +253,6 @@ def emit(fmt: str, record: dict, lines: Sequence[str], row: Optional[dict] = Non
             print(line)
 
 
-def _fgqm(hists: dict[int, Counter]) -> Callable[[int, int, int], int]:
-    """The `fgqm` callback of `upper_bound_ng`, as a lookup into per-genus histograms."""
-    return lambda g, q, m: hists[g][q, m]
-
-
 class TableSpec(NamedTuple):
     """What `table` and `table_rows` know about one table."""
 
@@ -308,10 +304,9 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
         rows.append([f"N({spec.mult},g)"] + [str(ng[g]) for g in genera])
     elif which == "t3":
         header = ["g", "n_g", "UB M=4", "UB M=3", "UB M=2", "2^(g-1)"]
-        fgqm = _fgqm(hists)
         rows = [
             [str(g), str(ng[g])]
-            + [str(upper_bound_ng(g, M, fgqm)) for M in (4, 3, 2)]
+            + [str(upper_bound_ng(g, M, hists[g])) for M in (4, 3, 2)]
             + [str(1 << (g - 1))]
             for g in genera
         ]
@@ -356,8 +351,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     cache = CountCache(Path(args.cache)) if args.cache else None
 
     if args.selfcheck:
-        if cache is None or any(getattr(args, field) is not None for field in QUERY_FIELDS):
-            raise ValueError("--selfcheck needs --cache and takes no query flags")
+        if cache is None or args.format != "plain" or any(getattr(args, f) is not None for f in QUERY_FIELDS):
+            raise ValueError("--selfcheck needs --cache and takes no query flags and no --format")
         problems = cache.selfcheck(jobs=args.jobs, force=args.force)
         for p in problems:
             print(p)
@@ -503,7 +498,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     nprime = CensusQuery(g, max_depth=3).count_in(hist)
     ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
-    ubs = {M: upper_bound_ng(g, M, _fgqm({g: hist})) for M in ms}
+    ubs = {M: upper_bound_ng(g, M, hist) for M in ms}
     closed = upper_bound_ng_closedN(g) if g >= 4 else None
     power = 1 << (g - 1)
 
@@ -554,6 +549,8 @@ def cmd_formula(args: argparse.Namespace) -> int:
 
 def cmd_seq(args: argparse.Namespace) -> int:
     name = args.name
+    if args.k is not None and name != "fibonacci-k":
+        raise ValueError(f"--k is read only by fibonacci-k, not by {name}")
     if name == "fibonacci":
         value = fibonacci(args.n)
     elif name == "fibonacci-k":

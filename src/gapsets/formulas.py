@@ -15,8 +15,9 @@ formulas do not reach are the census's job.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .sequences import fibonacci, fibonacci_k, padovan
 
@@ -156,12 +157,13 @@ def _kfib(k: int, n: int) -> int:
     return 1 if k == 1 else fibonacci_k(k, n)
 
 
-def upper_bound_ng(g: int, M: int, fgqm: Callable[[int, int, int], int]) -> int:
+def upper_bound_ng(g: int, M: int, hist: Counter) -> int:
     """Upper bound for the number of gapsets of genus g, parametrized by M.
 
     Depths up to c = ceil(2g/(M+1)) are bounded by the order-c Fibonacci
     number at g+1; deeper gapsets force multiplicity <= M and are counted
-    exactly via `fgqm(g, q, m)`.  For M in {2, 3, 4} the specialized
+    exactly by `hist`, the genus-g (depth, multiplicity) histogram that
+    `census_histograms` returns.  For M in {2, 3, 4} the specialized
     single/double-sum shapes are used (the exactly-one-deep-gapset-of-
     multiplicity-2 term appears as a trailing +1); larger M uses the
     general double sum.
@@ -176,16 +178,16 @@ def upper_bound_ng(g: int, M: int, fgqm: Callable[[int, int, int], int]) -> int:
     if M == 2:
         return head + 1
     if M == 3:
-        tail3 = sum(fgqm(g, q, 3) for q in range(_ceil_div(g, 2) + 1, _ceil_div(2 * g, 3) + 1))
+        tail3 = sum(hist[q, 3] for q in range(_ceil_div(g, 2) + 1, _ceil_div(2 * g, 3) + 1))
         return head + tail3 + 1
     if M == 4:
-        tail4 = sum(fgqm(g, q, 4) for q in range(_ceil_div(2 * g, 5) + 1, _ceil_div(g, 2) + 1))
-        tail3 = sum(fgqm(g, q, 3) for q in range(_ceil_div(g, 2), _ceil_div(2 * g, 3) + 1))
+        tail4 = sum(hist[q, 4] for q in range(_ceil_div(2 * g, 5) + 1, _ceil_div(g, 2) + 1))
+        tail3 = sum(hist[q, 3] for q in range(_ceil_div(g, 2), _ceil_div(2 * g, 3) + 1))
         return head + tail4 + tail3 + 1
     total = head
     for m in range(2, M + 1):
         for q in range(c + 1, _ceil_div(2 * g, m) + 1):
-            total += fgqm(g, q, m)
+            total += hist[q, m]
     return total
 
 

@@ -45,6 +45,11 @@ def test_query_validation():
         CensusQuery(4, depth=2, max_depth=3)
     with pytest.raises(ValueError):
         CensusQuery(4, mult=1)
+    with pytest.raises(TypeError):
+        CensusQuery(5.0)
+    for bad in ({"genus": None}, {"genus": 5, "depth": 2.0}, {"genus": 5, "mult": "3"}):
+        with pytest.raises(TypeError):
+            CensusQuery(**bad)
     with pytest.raises(OverflowError):
         count_gapsets(CensusQuery(64))
     for low in (-1, 5):

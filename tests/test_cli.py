@@ -93,11 +93,36 @@ def test_count_cache_round_trip(tmp_path, capsys):
 
 def test_cache_unknown_schema_ignored(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
-    for version in (99, 1):  # 1: the format before entries were keyed by the query's fields
-        entry = {"g": 8, "depth": "any", "mult": "any", "count": 1, "at": 0}
-        cache_path.write_text(json.dumps({"schema_version": version, "entries": [entry]}))
-        code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
-        assert code == 0 and out.strip() == "67"  # recomputed, not the bogus 1
+    entry = {"g": 8, "depth": "any", "mult": "any", "count": 1, "at": 0}
+    # schema 1: the format before entries were keyed by the query's fields
+    docs = [{"schema_version": version, "entries": [entry]} for version in (99, 1)]
+    # schema 2 without an entry list
+    docs += [{"schema_version": 2, "entries": entries} for entries in (5, None, "genus")]
+    for doc in docs:
+        cache_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
+        assert (code, out.strip(), err) == (0, "67", ""), doc  # recomputed, not the bogus 1
+
+
+def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
+    cache_path = tmp_path / "cache.json"
+    entries = [
+        {"genus": 5.0, "depth": None, "max_depth": None, "mult": None, "count": 12},
+        {"genus": 6, "depth": None, "max_depth": 2.5, "mult": None, "count": 12},
+        {"genus": 7, "depth": None, "max_depth": None, "mult": None, "count": 39},
+    ]
+    cache_path.write_text(json.dumps({"schema_version": 2, "entries": entries}))
+    code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert code == 3
+    assert out.splitlines() == [
+        "genus=5.0 depth=None max_depth=None mult=None: not a census query",
+        "genus=6 depth=None max_depth=2.5 mult=None: not a census query",
+    ]
+    # a float as the largest genus once reached range() inside the census
+    cache_path.write_text(json.dumps({"schema_version": 2, "entries": entries[:1]}))
+    code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert code == 3
+    assert out.splitlines() == ["genus=5.0 depth=None max_depth=None mult=None: not a census query"]
 
 
 def test_cache_concurrent_writers_keep_both_entries(tmp_path):
@@ -154,7 +179,9 @@ def test_selfcheck_takes_no_query_flags(tmp_path, capsys):
     cache = CountCache(cache_path)
     cache.put(CensusQuery(7), 39)
     cache.save()
-    for flag, value in (("--genus", "7"), ("--depth", "2"), ("--max-depth", "3"), ("--mult", "3")):
+    flags = (("--genus", "7"), ("--depth", "2"), ("--max-depth", "3"), ("--mult", "3"),
+             ("--format", "json"), ("--format", "csv"))
+    for flag, value in flags:
         code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path), flag, value)
         assert code == 2 and out == "" and "error:" in err, flag
 
@@ -331,6 +358,9 @@ def test_seq_command(capsys):
     assert code == 0 and out.strip() == "135"
     code, _, _ = run(capsys, "seq", "--name", "fibonacci-k", "--n", "11")
     assert code == 2
+    for name in ("fibonacci", "padovan", "convolution"):  # --k is read only by fibonacci-k
+        code, out, err = run(capsys, "seq", "--name", name, "--n", "5", "--k", "3", "--format", "json")
+        assert code == 2 and out == "" and "error:" in err, name
 
 
 def test_bfile_parser(tmp_path):

@@ -2,14 +2,23 @@
 
 No `assert` statement and no `__debug__` name: `python -O` strips both,
 so a check written that way vanishes and the run time changes under -O.
+
+Each library module declares its public API once, in its `__all__`: every
+public function and class it defines and every upper-case constant, each
+named once.  The package root re-exports those lists in module order and
+writes no name list of its own.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import gapsets
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gapsets").glob("*.py"))
+LIBRARY = ["census", "core", "formulas", "kunz", "sequences", "tilings"]  # the root's order
 
 
 def test_sources_found():
@@ -25,3 +34,37 @@ def test_no_check_that_python_O_strips(path):
         if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert found == []
+
+
+def test_every_module_is_library_or_front_end():
+    assert sorted(p.stem for p in SOURCES) == sorted(LIBRARY + ["__init__", "cli"])
+
+
+def declared_api(path):
+    """(the module's `__all__` as written, the public names it defines at top level)."""
+    exported, defined = None, set()
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+                elif isinstance(target, ast.Name) and target.id.isupper():
+                    defined.add(target.id)
+    return exported, {name for name in defined if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_module_all_is_its_public_api(module):
+    exported, defined = declared_api(SOURCES[0].parent / f"{module}.py")
+    assert exported is not None, f"{module} has no literal __all__"
+    assert len(exported) == len(set(exported)), f"{module}.__all__ names a name twice"
+    assert set(exported) == defined
+
+
+def test_root_reexports_every_module_all():
+    modules = [importlib.import_module(f"gapsets.{name}") for name in LIBRARY]
+    assert gapsets.__all__ == [name for module in modules for name in module.__all__]
+    for name in gapsets.__all__:
+        assert hasattr(gapsets, name), name
