@@ -5,11 +5,16 @@ places coordinates left to right; each node is a candidate gapset of genus
 equal to its coordinate sum, so the search up to genus G passes through
 every lower genus too.  Coordinates are capped by k_(i+j) <= k_i + k_j
 (i + j < m), which binds on every prefix; the wrap-around pairs (i + j > m)
-are checked at the nodes counted.  A depth filter caps every coordinate and
-a multiplicity filter fixes their number, so both prune the search.  The
-one entry point, `census_histograms`, returns the (depth, multiplicity)
-histograms of the gapsets a `CensusQuery` selects, one per genus.  Counts
-are exact and bounded by 2**63 - 1; the genus is capped accordingly.
+are checked at the nodes counted, and only at depth 4 or more, the only
+depths where one can fail.  Each node is counted in place, by (genus,
+depth, modulus), as the search reaches it; the running depth is passed
+down, not recomputed.  A depth filter caps every coordinate and a
+multiplicity filter fixes their number, so both prune the search; an exact
+depth q also cuts every branch still below q with less than q of the genus
+left to place.  The one entry point, `census_histograms`, returns the
+(depth, multiplicity) histograms of the gapsets a `CensusQuery` selects,
+one per genus.  Counts are exact and bounded by 2**63 - 1; the genus is
+capped accordingly.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -23,7 +28,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
 from typing import Iterator, Optional
 
 from .core import GapSet
@@ -107,25 +112,38 @@ def _search_bounds(query: CensusQuery) -> tuple[int, Optional[int]]:
     return cap, (None if query.mult is None else query.mult - 1)
 
 
-def _gapset_coords(query: CensusQuery, low: int, first: Optional[int] = None) -> Iterator[tuple]:
-    """(genus, (0, k_1, ..., k_(m-1))) for the gapsets of each genus from
-    `low` up to the query's within its search bounds, each genus in the
-    lexicographic order of the composition walk; indexed by residue, so the
-    depth is the max and the modulus m the length.
+def _census(
+    query: CensusQuery, low: int, first: Optional[int] = None, items: Optional[list] = None
+) -> Counter:
+    """Gapsets by (genus, depth, modulus) for each genus from `low` up to
+    the query's; only the cells the query selects are complete.  `items`
+    (if given) receives the coordinates (k_1, ..., k_(m-1)) of each selected
+    gapset, in the lexicographic order of the composition walk.
 
     Every coordinate is at most the cap, `parts` (if set) fixes their
     number, and `first` (if set) the first one; the shard of first
-    coordinate 1 also owns the empty gapset.  An exact depth is left to the
-    caller's filter.  Position p is capped by k_i + k_(p-i) whatever the
-    final length; only nodes of genus `low` or more pay the wrap-around check.
+    coordinate 1 also owns the empty gapset.  Position p is capped by
+    k_i + k_(p-i) whatever the final length; only nodes of genus `low` or
+    more pay the wrap-around check.
     """
     genus = query.genus
     cap, parts = _search_bounds(query)
-    k = [0]  # k[i] is the coordinate of residue i
+    exact = query.depth or 0
+    reach = genus - exact  # a node still below the exact depth q grows only up to genus G - q
+    hist: Counter = Counter()
+    k = [0] * (genus + 2)  # k[i] is the coordinate of residue i; k[1:m] the node's
 
-    def grow(g: int) -> Iterator[tuple]:
-        p = len(k)  # the position placed next
-        m = p + 1  # the modulus of the nodes placed here
+    def wraps(m: int) -> bool:
+        # each wrap-around pair i + j = m + t needs k_t <= k_i + k_j + 1: only a k_t >= 4 can fail
+        for t in range(1, m - 1):
+            if k[t] > 3:
+                for i in range(t + 1, (m + t) // 2 + 1):
+                    if k[i] + k[m + t - i] + 1 < k[t]:
+                        return False
+        return True
+
+    def grow(p: int, g: int, d: int) -> None:
+        m = p + 1  # the modulus of the nodes placed at position p
         hi = min(cap, genus - g)
         for i in range(1, p // 2 + 1):
             if k[i] + k[p - i] < hi:
@@ -140,25 +158,22 @@ def _gapset_coords(query: CensusQuery, low: int, first: Optional[int] = None) ->
         counted = low if parts in (None, p) else genus + 1  # nodes placed here count from this genus
         growing = genus if parts != p else 0  # ... and have children below this one
         for v in range(lo, hi + 1):
-            k.append(v)
+            k[p] = v
             h = g + v
-            if h >= counted:
-                # each wrap-around pair i + j = m + t needs k_t <= k_i + k_j + 1: only a k_t >= 4 can fail
-                for t in range(1, m - 1):
-                    if k[t] > 3:
-                        for i in range(t + 1, (m + t) // 2 + 1):
-                            if k[i] + k[m + t - i] + 1 < k[t]:
-                                break
-                        else:
-                            continue
-                        break  # a pair failed
-                else:
-                    yield h, tuple(k)
-            if h < growing:
-                yield from grow(h)
-            k.pop()
+            dv = v if v > d else d
+            if h >= counted and (dv <= 3 or wraps(m)):
+                hist[h, dv, m] += 1
+                if items is not None and query.selects(dv, m):
+                    items.append(tuple(k[1:m]))
+            if h < growing and (dv >= exact or h <= reach):
+                grow(m, h, dv)
 
-    return chain([(0, (0,))] if low == 0 and parts is None and first in (None, 1) else [], grow(0))
+    if low == 0 and parts is None and first in (None, 1):
+        hist[0, 0, 1] += 1
+        if items is not None and query.selects(0, 1):
+            items.append(())
+    grow(1, 0, 0)
+    return hist
 
 
 def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
@@ -167,13 +182,6 @@ def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     cap, parts = _search_bounds(query)
     firsts = list(range(1, min(cap, g if parts is None else g - parts + 1) + 1))
     return firsts if jobs > 1 and len(firsts) > 1 else [None]
-
-
-def _shard_histogram(args: tuple[CensusQuery, int, Optional[int]]) -> Counter:
-    hist: Counter = Counter()
-    for g, k in _gapset_coords(*args):
-        hist[g, max(k), len(k)] += 1
-    return hist
 
 
 def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = None) -> dict[int, Counter]:
@@ -185,12 +193,12 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
     low = query.genus if low is None else low
     if not 0 <= low <= query.genus:
         raise ValueError(f"low genus must be in 0..{query.genus}, got {low}")
-    tasks = [(query, low, first) for first in _shard_firsts(query, jobs)]
-    if len(tasks) == 1:
-        flat = _shard_histogram(tasks[0])
+    firsts = _shard_firsts(query, jobs)
+    if len(firsts) == 1:
+        flat = _census(query, low, firsts[0])
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            flat = sum(pool.map(_shard_histogram, tasks), Counter())
+        with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
+            flat = sum(pool.map(partial(_census, query, low), firsts), Counter())
     hists = {g: Counter() for g in range(low, query.genus + 1)}
     for (g, q, m), n in flat.items():
         if query.selects(q, m):
@@ -207,11 +215,9 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
     """
     t0 = time.perf_counter()
     if collect:
-        items = tuple(
-            _as_gapset(query.genus, k[1:])
-            for _, k in _gapset_coords(query, query.genus)
-            if query.selects(max(k), len(k))
-        )
+        coords: list = []
+        _census(query, query.genus, items=coords)
+        items = tuple(_as_gapset(query.genus, c) for c in coords)
         return CensusResult(len(items), time.perf_counter() - t0, 1, items)
     total = sum(census_histograms(query, jobs)[query.genus].values())
     if total > _MAX_COUNT:

@@ -155,25 +155,34 @@ class CountCache:
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.entries: dict[tuple, int] = self._load()
+        self.entries, self.rejected = self._load()
 
-    def _load(self) -> dict[tuple, int]:
-        """The file's entries; none if it is missing, unreadable, of another
-        schema or without an entry list.  A malformed entry is skipped."""
+    def _load(self) -> tuple[dict[tuple, int], dict[tuple, int]]:
+        """The file's entries, and apart from them its records with a field
+        that is neither an int nor null; none if the file is missing,
+        unreadable, of another schema or without an entry list.  A record
+        without the fields or the count is skipped."""
         try:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
-            return {}
+            return {}, {}
         if not isinstance(doc, dict) or doc.get("schema_version") != self.SCHEMA_VERSION:
-            return {}
+            return {}, {}
         records = doc.get("entries")
-        entries = {}
+        entries, rejected = {}, {}
         for rec in records if isinstance(records, list) else []:
             try:
-                entries[_record_key(rec)] = int(rec["count"])
+                key, count = _record_key(rec), int(rec["count"])
             except (KeyError, TypeError, ValueError):
                 continue
-        return entries
+            genus, depth, max_depth, mult = key
+            # 8.0 and true equal 8 and 1: such a record would answer a query it is not
+            ints = type(genus) is int and (depth is None or type(depth) is int)
+            if ints and (max_depth is None or type(max_depth) is int) and (mult is None or type(mult) is int):
+                entries[key] = count
+            else:
+                rejected[key] = count
+        return entries, rejected
 
     def get(self, query: CensusQuery) -> Optional[int]:
         return self.entries.get(query_key(query))
@@ -185,7 +194,7 @@ class CountCache:
         with open(f"{self.path}.lock", "a") as lock:
             if fcntl is not None:  # without it the replace is still atomic, but unlocked
                 fcntl.flock(lock, fcntl.LOCK_EX)
-            self.entries = {**self._load(), **self.entries}
+            self.entries = {**self._load()[0], **self.entries}
             doc = {
                 "schema_version": self.SCHEMA_VERSION,
                 "entries": [dict(zip(QUERY_FIELDS, key), count=n) for key, n in self.entries.items()],
@@ -203,9 +212,9 @@ class CountCache:
     def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
         """Check every cached entry against one unfiltered census up to the
         largest cached genus, which must pass the guard; returns mismatch
-        descriptions."""
+        descriptions, the rejected records first."""
         problems, checks = [], []
-        for key, cached in self.entries.items():
+        for key, cached in [*self.rejected.items(), *self.entries.items()]:
             label = " ".join(f"{f}={v}" for f, v in zip(QUERY_FIELDS, key))
             try:
                 checks.append((label, CensusQuery(*key), cached))

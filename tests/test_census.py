@@ -142,10 +142,13 @@ def test_sharded_equals_unsharded():
 
 
 def test_one_pass_equals_the_per_genus_loop():
-    for G in (12, 16):
-        for f in one_pass_filters(G):
+    exact = [{"depth": d, **m} for d in range(15) for m in ({}, {"mult": 3}, {"mult": 4})]  # each is pruned
+    for G, filters in ((12, one_pass_filters(12)), (16, one_pass_filters(16)), (14, exact)):
+        for f in filters:
             per_genus = {g: census_histograms(q(g, **f))[g] for g in range(G + 1)}
             assert census_histograms(q(G, **f), low=0) == per_genus, (G, f)
+    for f in ({"depth": 5}, {"depth": 4, "mult": 4}):
+        assert census_histograms(q(14, **f), jobs=2, low=0) == census_histograms(q(14, **f), low=0), f
 
 
 @pytest.fixture

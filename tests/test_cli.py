@@ -125,6 +125,29 @@ def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
     assert out.splitlines() == ["genus=5.0 depth=None max_depth=None mult=None: not a census query"]
 
 
+def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
+    cache_path = tmp_path / "cache.json"
+    floats = {"genus": 8.0, "depth": None, "max_depth": None, "mult": None, "count": 1}
+    bools = {"genus": 8, "depth": None, "max_depth": True, "mult": None, "count": 5}
+    cache_path.write_text(json.dumps({"schema_version": 2, "entries": [floats, bools]}))
+    code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert code == 3 and out.splitlines() == [
+        "genus=8.0 depth=None max_depth=None mult=None: not a census query",
+        "genus=8 depth=None max_depth=True mult=None: not a census query",
+    ]
+    # 8.0 and true hash as 8 and 1, yet each count is recomputed, not served
+    for flags, count in ((), 67), (("--max-depth", "1"), 1):
+        code, out, _ = run(capsys, "count", "--genus", "8", *flags, "--cache", str(cache_path), "--format", "json")
+        assert code == 0 and (json.loads(out)["count"], json.loads(out)["cached"]) == (count, False)
+    # and the saves wrote a clean file
+    assert json.loads(cache_path.read_text())["entries"] == [
+        {**floats, "genus": 8, "count": 67},
+        {**bools, "max_depth": 1, "count": 1},
+    ]
+    code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert (code, out) == (0, "cache ok: 2 entries verified\n")
+
+
 def test_cache_concurrent_writers_keep_both_entries(tmp_path):
     cache_path = tmp_path / "cache.json"
     first, second = CountCache(cache_path), CountCache(cache_path)

@@ -90,6 +90,20 @@ def test_f_gq_item3_spot_check():
     assert census_fgqm(23, 11, 4) == 17
 
 
+def test_f_gq_past_the_paper_range():
+    # every covered cell with q >= 3 for g = 19..30; the exact-depth pruning
+    # makes each a small search, so this also checks that pruning
+    cells = 0
+    for g in range(19, 31):
+        for q in range(3, g + 2):
+            answer = f_gq(g, q)
+            if answer.covered:
+                hist = census_histograms(CensusQuery(g, depth=q))[g]
+                assert answer.value == sum(hist.values()), (g, q, answer.branch)
+                cells += 1
+    assert cells == 180
+
+
 def test_lower_bound_examples():
     assert lower_bound_depth3(0) == 1
     assert lower_bound_depth3(6) == 18
