@@ -18,8 +18,8 @@ capped accordingly.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
-paper's tiling bijection) is in turn the census's brute-force oracle in
-the tests.
+paper's tiling bijection and depth-3 family) is in turn the census's
+brute-force oracle in the tests.
 """
 
 from __future__ import annotations
@@ -29,21 +29,18 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import GapSet
 from .kunz import KunzVector, from_kunz
-from .sequences import fibonacci, padovan
 
 __all__ = [
     "MAX_GENUS",
     "CensusQuery",
     "CensusResult",
     "census_histograms",
-    "count_depth3_family",
     "count_gapsets",
     "count_gapsets_depth_at_most",
-    "enumerate_depth3_family",
 ]
 
 # Counts live in 64 bits; 2**(g-1) m-extensions at genus g forces g < 64.
@@ -241,41 +238,3 @@ def count_gapsets_depth_at_most(g: int, k: int) -> int:
     """
     return count_gapsets(CensusQuery(g, max_depth=k)).count
 
-
-def _restricted(total: int, allowed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    for p in allowed:
-        if p <= total:
-            for rest in _restricted(total - p, allowed):
-                yield (p,) + rest
-
-
-def enumerate_depth3_family(g: int) -> Iterator[KunzVector]:
-    """A guaranteed-gapset family of depth 3: coordinate vectors built as
-    a {2,3}-prefix, a pivot part equal to 3, and a {1,2}-suffix.
-
-    Every emitted vector passes the inequality system and has largest
-    coordinate exactly 3.  No vector is emitted twice: the pivot is the
-    last 3 of the vector, so it fixes the split into prefix and suffix.
-    """
-    if g < 3:
-        return
-    for n in range(0, g - 2):  # prefix total; parts of size 2/3 skip n == 1 on their own
-        for prefix in _restricted(n, (2, 3)):
-            for suffix in _restricted(g - 3 - n, (1, 2)):
-                vec = prefix + (3,) + suffix
-                yield KunzVector(len(vec) + 1, vec)
-
-
-def count_depth3_family(g: int) -> int:
-    """Size of the depth-3 family at genus g, by the Padovan-Fibonacci formula.
-
-    The tests check it against the length of `enumerate_depth3_family`.
-    """
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
-    if g < 3:
-        return 0
-    return fibonacci(g - 2) + sum(padovan(n) * fibonacci(g - 2 - n) for n in range(2, g - 2))

@@ -63,6 +63,9 @@ NG_ANCHOR = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118)
 # needs --force.
 GMAX_GUARD = 22
 
+# from-kunz builds the whole set: a vector of larger genus (coordinate sum) is refused.
+FROM_KUNZ_MAX_GENUS = 10**6
+
 # A CensusQuery's fields in constructor order: the keys of `count`'s query
 # record and of a cache entry; a query's cache key is the tuple of values.
 QUERY_FIELDS = tuple(f.name for f in dataclasses.fields(CensusQuery))
@@ -476,7 +479,10 @@ def cmd_kunz(args: argparse.Namespace) -> int:
 
 
 def cmd_from_kunz(args: argparse.Namespace) -> int:
-    ext = from_kunz(parse_kunz(args.kunz))
+    vector = parse_kunz(args.kunz)
+    if vector.genus > FROM_KUNZ_MAX_GENUS:
+        raise ValueError(f"genus {vector.genus} above the from-kunz cap {FROM_KUNZ_MAX_GENUS}")
+    ext = from_kunz(vector)
     record = {
         "elements": list(ext.elements),
         "m": ext.modulus,
@@ -590,11 +596,10 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 
     problems = []
     for g, expected in enumerate(ng):
-        idx = g + args.offset
-        if idx not in by_index:
-            problems.append(f"g={g}: index {idx} missing from {path.name}")
-        elif by_index[idx] != expected:
-            problems.append(f"g={g}: file has {by_index[idx]}, census says {expected}")
+        if g not in by_index:
+            problems.append(f"g={g}: index {g} missing from {path.name}")
+        elif by_index[g] != expected:
+            problems.append(f"g={g}: file has {by_index[g]}, census says {expected}")
     for line in problems:
         print(line)
     if problems:
@@ -698,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bfile", default=None, help="path; defaults to the bundled A007323 fixture")
     p.add_argument("--gmax", type=at_least(0), default=18)
-    p.add_argument("--offset", type=int, default=0, help="file index of genus 0")
 
     return parser
 

@@ -185,7 +185,7 @@ def upper_bound_ng(g: int, M: int, hist: Counter) -> int:
         tail3 = sum(hist[q, 3] for q in range(_ceil_div(g, 2), _ceil_div(2 * g, 3) + 1))
         return head + tail4 + tail3 + 1
     total = head
-    for m in range(2, M + 1):
+    for m in range(2, min(M, g + 1) + 1):  # a genus-g gapset has multiplicity at most g + 1
         for q in range(c + 1, _ceil_div(2 * g, m) + 1):
             total += hist[q, m]
     return total

@@ -1,11 +1,13 @@
 """Integer compositions viewed as tilings of a 1 x g board.
 
 A composition (b_1, ..., b_n) of g is a tiling of a g-board by rectangles
-1 x b_i.  Compositions are emitted in lexicographic order of the part
-list, incrementally (never materialized), since unrestricted streams have
-2**(g-1) items.  `sigma` identifies an m-extension of genus g with the
-tiling given by its Kunz coordinates; `sigma_inverse` rebuilds the unique
-extension of minimal modulus (number of parts + 1).
+1 x b_i.  Every stream here, the paper's depth-3 family included, comes
+from one walk, `_compositions`, in lexicographic order of the part list
+and one at a time (an unrestricted stream has 2**(g-1) items);
+`count_compositions` walks the same tree without building tuples.  `sigma`
+identifies an m-extension of genus g with the tiling given by its Kunz
+coordinates; `sigma_inverse` rebuilds the unique extension of minimal
+modulus (number of parts + 1).
 """
 
 from __future__ import annotations
@@ -19,43 +21,50 @@ __all__ = [
     "compositions_fixed_parts",
     "count_compositions",
     "enumerate_compositions",
+    "enumerate_depth3_family",
     "format_composition",
     "sigma",
     "sigma_inverse",
 ]
 
 
-def _advance(buf: list[int], k: int, lo: int) -> bool:
-    """In-place lexicographic successor with parts bounded by k.
+def _compositions(
+    total: int, smallest: int, largest: int, parts: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Compositions of `total` with every part in smallest..largest (and
+    exactly `parts` parts if given), lexicographic; () for a total of 0.
+    A depth-first walk whose stack holds each open position's untried
+    parts, so it needs no recursion and memory grows only with the parts."""
 
-    Positions below lo are frozen (used to restrict the first part).
-    Returns False once the stream is exhausted.  Relies on the invariant
-    that every part right of the increment point, except the last, equals
-    k, so the borrowed suffix sum is computable in O(1).
-    """
-    p = len(buf) - 2
-    while p >= lo and buf[p] == k:
-        p -= 1
-    if p < lo:
-        return False
-    suffix = k * (len(buf) - 2 - p) + buf[-1]
-    buf[p] += 1
-    del buf[p + 1 :]
-    buf.extend([1] * (suffix - 1))
-    return True
+    def choices(left: int, placed: int) -> Iterator[int]:
+        lo, hi = smallest, min(largest, left)
+        if parts is not None:  # the parts after this one must fit what is left
+            after = parts - placed - 1
+            lo, hi = max(lo, left - largest * after), min(hi, left - smallest * after)
+        return iter(range(lo, hi + 1))
+
+    if total == 0 and not parts:
+        yield ()
+    buf, left, stack = [], total, [choices(total, 0)]
+    while stack:
+        p = next(stack[-1], 0)
+        if not p:  # every part at this position is tried: take back the one before
+            stack.pop()
+            left += buf.pop() if buf else 0
+        elif p == left:  # the last part
+            yield (*buf, p)
+        else:
+            buf.append(p)
+            left -= p
+            stack.append(choices(left, len(buf)))
 
 
-def _start(g: int, max_part: Optional[int], first_part: Optional[int]) -> tuple[Optional[list[int]], int, int]:
+def _part_bound(g: int, max_part: Optional[int]) -> int:
     if g <= 0:
         raise ValueError(f"board size must be positive, got {g}")
     if max_part is not None and max_part < 1:
         raise ValueError(f"max_part must be >= 1, got {max_part}")
-    k = g if max_part is None or max_part > g else max_part
-    if first_part is None:
-        return [1] * g, k, 0
-    if first_part < 1 or first_part > min(k, g):
-        return None, k, 1  # empty shard
-    return [first_part] + [1] * (g - first_part), k, 1
+    return g if max_part is None or max_part > g else max_part
 
 
 def enumerate_compositions(
@@ -67,24 +76,33 @@ def enumerate_compositions(
     value; the sub-streams over all first parts partition the full stream,
     which is what makes sharded counting possible.
     """
-    buf, k, lo = _start(g, max_part, first_part)
-    if buf is None:
-        return
-    yield tuple(buf)
-    while _advance(buf, k, lo):
-        yield tuple(buf)
+    k = _part_bound(g, max_part)
+    if first_part is None:
+        yield from _compositions(g, 1, k)
+    elif 1 <= first_part <= k:
+        for rest in _compositions(g - first_part, 1, k):
+            yield (first_part,) + rest
 
 
 def count_compositions(
     g: int, max_part: Optional[int] = None, first_part: Optional[int] = None
 ) -> int:
-    """Stream length of `enumerate_compositions`, walked without building tuples."""
-    buf, k, lo = _start(g, max_part, first_part)
-    if buf is None:
+    """Stream length of `enumerate_compositions`, walked without building
+    tuples: the stack holds board lengths still to tile, and a length that
+    fits in one part is counted as a composition ending there."""
+    k = _part_bound(g, max_part)
+    if first_part is not None and not 1 <= first_part <= k:
         return 0
-    n = 1
-    while _advance(buf, k, lo):
-        n += 1
+    n, stack = 0, [g - (first_part or 0)]  # 0 left: the first part tiles the whole board
+    while stack:
+        left = stack.pop()
+        if left <= k:  # all of it as the last part
+            n += 1
+        lo = left - k
+        if lo <= 1:  # a single cell left over is a last part of 1
+            n += left > 1
+            lo = 2
+        stack.extend(range(lo, left))
     return n
 
 
@@ -94,16 +112,19 @@ def compositions_fixed_parts(
     """Compositions of g into exactly `parts` parts, lexicographic."""
     if parts < 1:
         raise ValueError(f"part count must be >= 1, got {parts}")
-    k = g if max_part is None else max_part
-    if parts == 1:
-        if 1 <= g <= k:
-            yield (g,)
-        return
-    lo = max(1, g - k * (parts - 1))
-    hi = min(k, g - (parts - 1))
-    for first in range(lo, hi + 1):
-        for rest in compositions_fixed_parts(g - first, parts - 1, max_part):
-            yield (first,) + rest
+    yield from _compositions(g, 1, g if max_part is None else max_part, parts)
+
+
+def enumerate_depth3_family(g: int) -> Iterator[KunzVector]:
+    """The paper's depth-3 gapsets: tilings by a {2,3}-prefix, a pivot 3
+    (the last 3, so no vector comes twice) and a {1,2}-suffix, as Kunz
+    vectors.  With the F(g+1) gapsets of depth <= 2 they make up the lower
+    bound F(g+2) - P(g+1) on the gapsets of depth <= 3."""
+    for n in range(0, g - 2):  # prefix total; parts of size 2/3 skip n == 1 on their own
+        for prefix in _compositions(n, 2, 3):
+            for suffix in _compositions(g - 3 - n, 1, 2):
+                vec = prefix + (3,) + suffix
+                yield KunzVector(len(vec) + 1, vec)
 
 
 def sigma(ext: MExtension) -> tuple[int, ...]:

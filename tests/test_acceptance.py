@@ -14,10 +14,8 @@ import pytest
 from gapsets.census import (
     CensusQuery,
     census_histograms,
-    count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
-    enumerate_depth3_family,
 )
 from gapsets.cli import main
 from gapsets.core import GapSet, classify_gapset
@@ -30,7 +28,13 @@ from gapsets.formulas import (
 )
 from gapsets.kunz import KunzVector, coords_violation, from_kunz, pseudo_kunz, satisfies_kunz_system
 from gapsets.sequences import fibonacci, fibonacci_k, padovan, padovan_fibonacci_convolution
-from gapsets.tilings import count_compositions, enumerate_compositions, sigma, sigma_inverse
+from gapsets.tilings import (
+    count_compositions,
+    enumerate_compositions,
+    enumerate_depth3_family,
+    sigma,
+    sigma_inverse,
+)
 
 GMAX = 18
 
@@ -130,17 +134,17 @@ def test_criterion_02_multiplicity4_grid():
 
 def test_criterion_03_formulas_match_census():
     mismatches = 0
-    for g in range(2, 41):
+    for g in range(2, 51):
         for q in range(1, g + 1):
             if f_gq3(g, q).value != census_fgqm(g, q, 3):
                 mismatches += 1
-    for g in range(7, 31):
+    for g in range(7, 51):
         for q in range(1, g + 1):
             if f_gq4(g, q).value != census_fgqm(g, q, 4):
                 mismatches += 1
     assert mismatches == 0
-    print("PASS criterion 3: multiplicity-3 formula (g=2..40) and "
-          "multiplicity-4 formula (g=7..30) agree with the census everywhere")
+    print("PASS criterion 3: multiplicity-3 formula (g=2..50) and "
+          "multiplicity-4 formula (g=7..50) agree with the census everywhere")
 
 
 def test_criterion_04_depth_formula_covers_bold_entries(depth_histograms):
@@ -234,17 +238,18 @@ def test_criterion_08_sequence_identities():
 
 
 def test_criterion_09_depth3_family():
-    for g in range(3, 21):
+    for g in range(0, 21):
         n = 0
         for v in enumerate_depth3_family(g):
             assert satisfies_kunz_system(v), v
             assert v.depth == 3, v
             n += 1
-        assert n == count_depth3_family(g)
-    for g in range(0, 21):
-        assert count_depth3_family(g) + fibonacci(g + 1) == fibonacci(g + 2) - padovan(g + 1)
+        # with the F(g+1) gapsets of depth <= 2 the family makes up the bound
+        assert n == lower_bound_depth3(g) - fibonacci(g + 1)
+        assert lower_bound_depth3(g) == padovan_fibonacci_convolution(g)
     print("PASS criterion 9: depth-3 family members all pass the system with "
-          "largest coordinate 3, and the family-size identity holds for g<=20")
+          "largest coordinate 3, and the family plus the depth <= 2 gapsets "
+          "make up the lower bound F(g+2) - P(g+1) for g<=20")
 
 
 def test_criterion_10_oeis_cross_check(capsys):

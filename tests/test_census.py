@@ -6,15 +6,14 @@ import pytest
 from gapsets.census import (
     CensusQuery,
     census_histograms,
-    count_depth3_family,
     count_gapsets,
     count_gapsets_depth_at_most,
-    enumerate_depth3_family,
 )
 from gapsets.core import classify_gapset, GapSet
+from gapsets.formulas import lower_bound_depth3
 from gapsets.kunz import KunzVector, coords_violation, from_kunz, satisfies_kunz_system
 from gapsets.sequences import fibonacci, fibonacci_k, padovan
-from gapsets.tilings import enumerate_compositions
+from gapsets.tilings import enumerate_compositions, enumerate_depth3_family
 
 NG = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467]
 
@@ -223,11 +222,17 @@ def test_collect_matches_count_and_order():
                 assert [item.elements for item in res.items] == want
 
 
+def family_size(g):
+    """The depth-3 family's size as the paper states it: the depth <= 3
+    lower bound less the F(g+1) gapsets of depth <= 2."""
+    return lower_bound_depth3(g) - fibonacci(g + 1)
+
+
 def test_depth3_family_examples():
-    assert count_depth3_family(3) == 1
+    assert family_size(3) == 1
     assert [v.coords for v in enumerate_depth3_family(3)] == [(3,)]
-    assert count_depth3_family(6) == 5
-    assert count_depth3_family(10) + fibonacci(11) == 135
+    assert sum(1 for _ in enumerate_depth3_family(6)) == family_size(6) == 5
+    assert sum(1 for _ in enumerate_depth3_family(10)) + fibonacci(11) == 135
 
 
 def test_depth3_family_members_are_depth3_gapsets():
@@ -241,13 +246,14 @@ def test_depth3_family_members_are_depth3_gapsets():
             assert v.genus == g
             assert v.depth == 3
             assert satisfies_kunz_system(v)
-        assert count == count_depth3_family(g)
+        assert count == family_size(g)
 
 
 def test_depth3_family_identity():
     for g in range(0, 19):
-        assert count_depth3_family(g) + fibonacci(g + 1) == fibonacci(g + 2) - padovan(g + 1)
-        assert count_depth3_family(g) + fibonacci(g + 1) <= count_gapsets_depth_at_most(g, 3)
+        size = sum(1 for _ in enumerate_depth3_family(g))
+        assert size + fibonacci(g + 1) == fibonacci(g + 2) - padovan(g + 1)
+        assert size + fibonacci(g + 1) <= count_gapsets_depth_at_most(g, 3)
 
 
 def test_filtered_histogram_is_the_selected_cells():

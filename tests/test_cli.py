@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -294,6 +295,17 @@ def test_kunz_and_from_kunz(capsys):
     assert code == 2
 
 
+def test_from_kunz_refuses_a_genus_above_the_cap(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "from_kunz", lambda v: built.append(v.genus) or from_kunz(KunzVector(2, (1,))))
+    cap = cli.FROM_KUNZ_MAX_GENUS
+    for literal in (f"2:{cap + 1}", f"3:{cap},1", "2:1000000000"):
+        code, out, err = run(capsys, "from-kunz", "--kunz", literal)
+        assert code == 2 and out == "" and err.startswith("error:") and str(cap) in err, literal
+    assert built == []  # the set was never built
+    assert run(capsys, "from-kunz", "--kunz", f"2:{cap}")[0] == 0 and built == [cap]
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--genus", "3")
     assert code == 0
@@ -357,6 +369,14 @@ def test_bounds(capsys):
     code, out, _ = run(capsys, "bounds", "--genus", "2", "--format", "json")
     record = json.loads(out)
     assert code == 0 and record["n_g"] == 2 == record["power"]
+
+
+def test_bounds_with_a_huge_M_returns_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "--genus", "16", "--M", "1000000000000")
+    assert code == 0 and "sandwich: ok" in out
+    assert "upper bound (M=1000000000000):            4806" in out  # n_16: every depth past 1 counted
+    assert time.perf_counter() - start < 30  # the loop over M stops at multiplicity g + 1
 
 
 def test_formula_command(capsys):
@@ -428,6 +448,11 @@ def test_oeis_missing_index(tmp_path, capsys):
     path.write_text("0 1\n1 1\n2 2\n")
     code, out, _ = run(capsys, "oeis", "--bfile", str(path), "--gmax", "4")
     assert code == 1 and "missing" in out
+
+
+def test_oeis_index_is_the_genus(capsys):
+    code, out, err = run(capsys, "oeis", "--gmax", "4", "--offset", "1")  # no such flag
+    assert code == 2 and out == "" and "--offset" in err
 
 
 def test_usage_error_unknown_command(capsys):

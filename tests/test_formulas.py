@@ -128,6 +128,16 @@ def test_upper_bound_general_M():
             assert ng <= upper_bound_ng(g, M, census_hist(g))
 
 
+def test_upper_bound_past_the_largest_multiplicity():
+    # a genus-g gapset has multiplicity at most g + 1, so a larger M adds no term
+    hist = census_hist(16)
+    assert upper_bound_ng(16, 10**12, hist) == upper_bound_ng(16, 17, hist)
+    for g in range(1, 17):
+        # from M = 2g on, every depth past 1 is counted exactly, so the bound is n_g
+        hist = census_hist(g)
+        assert upper_bound_ng(g, max(5, 2 * g), hist) == sum(hist.values()) == upper_bound_ng(g, 10**12, hist)
+
+
 def test_upper_bound_closedN_examples():
     assert upper_bound_ng_closedN(10) == 419
     assert upper_bound_ng_closedN(4) == 11

@@ -7,6 +7,10 @@ Each library module declares its public API once, in its `__all__`: every
 public function and class it defines and every upper-case constant, each
 named once.  The package root re-exports those lists in module order and
 writes no name list of its own.
+
+The library modules import one another along a fixed graph: the census
+engine and the tilings rest on the sets and their Kunz coordinates, the
+formulas on the sequences.
 """
 
 import ast
@@ -68,3 +72,35 @@ def test_root_reexports_every_module_all():
     assert gapsets.__all__ == [name for module in modules for name in module.__all__]
     for name in gapsets.__all__:
         assert hasattr(gapsets, name), name
+
+
+# library module -> the library modules it imports
+IMPORTS = {
+    "census": {"core", "kunz"},
+    "core": set(),
+    "formulas": {"sequences"},
+    "kunz": {"core"},
+    "sequences": set(),
+    "tilings": {"core", "kunz"},
+}
+
+
+def package_imports(path):
+    """The modules of the package one source file imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gapsets" if node.level else "", node.module]))
+            dotted = [module] + [f"{module}.{alias.name}" for alias in node.names]  # from . import x
+        else:
+            continue
+        found |= {name.split(".")[1] for name in dotted if name.startswith("gapsets.")}
+    return found
+
+
+def test_library_import_graph():
+    assert sorted(IMPORTS) == sorted(LIBRARY)
+    for module in LIBRARY:
+        assert package_imports(SOURCES[0].parent / f"{module}.py") == IMPORTS[module], module

@@ -46,7 +46,8 @@ def test_lexicographic_and_exact():
 def test_count_matches_stream():
     for g in range(1, 13):
         for k in (None, 2, 3, 5):
-            assert count_compositions(g, k) == sum(1 for _ in enumerate_compositions(g, k))
+            for v in [None] + list(range(-1, g + 3)):  # every first part, in range or not
+                assert count_compositions(g, k, v) == sum(1 for _ in enumerate_compositions(g, k, v))
 
 
 def test_restricted_count_is_k_step_fibonacci():
@@ -73,6 +74,12 @@ def test_fixed_parts():
     for g in range(1, 10):
         by_parts = sum(len(list(compositions_fixed_parts(g, p))) for p in range(1, g + 1))
         assert by_parts == 1 << (g - 1)
+
+
+def test_streams_past_the_recursion_limit():
+    g = 3000  # deeper than CPython's default recursion limit
+    assert list(compositions_fixed_parts(g, g)) == [(1,) * g]
+    assert next(enumerate_compositions(g, first_part=2)) == (2,) + (1,) * (g - 2)
 
 
 def test_sigma_worked_examples():
