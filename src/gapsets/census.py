@@ -32,7 +32,7 @@ from functools import partial
 from typing import Optional
 
 from .core import GapSet
-from .kunz import KunzVector, from_kunz
+from .kunz import kunz_elements
 
 __all__ = [
     "MAX_GENUS",
@@ -214,7 +214,7 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
     if collect:
         coords: list = []
         _census(query, query.genus, items=coords)
-        items = tuple(_as_gapset(query.genus, c) for c in coords)
+        items = tuple(map(_as_gapset, coords))
         return CensusResult(len(items), time.perf_counter() - t0, 1, items)
     total = sum(census_histograms(query, jobs)[query.genus].values())
     if total > _MAX_COUNT:
@@ -222,11 +222,11 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
     return CensusResult(total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
 
 
-def _as_gapset(g: int, coords: tuple[int, ...]) -> GapSet:
+def _as_gapset(coords: tuple[int, ...]) -> GapSet:
     if not coords:
         return GapSet((), 0, 1, 0, 0)  # the empty gapset: multiplicity 1, depth 0
-    ext = from_kunz(KunzVector(len(coords) + 1, coords))
-    return GapSet(ext.elements, g, ext.modulus, ext.conductor, ext.depth)
+    elements = kunz_elements(coords)
+    return GapSet(elements, len(elements), len(coords) + 1, elements[-1] + 1, max(coords))
 
 
 def count_gapsets_depth_at_most(g: int, k: int) -> int:

@@ -94,7 +94,7 @@ def parse_set(text: str) -> tuple[int, ...]:
 
 
 def format_set(elements: Sequence[int]) -> str:
-    return ",".join(str(e) for e in elements)
+    return ",".join(map(str, elements))
 
 
 def parse_kunz(text: str) -> KunzVector:
@@ -198,15 +198,12 @@ class CountCache:
             if fcntl is not None:  # without it the replace is still atomic, but unlocked
                 fcntl.flock(lock, fcntl.LOCK_EX)
             self.entries = {**self._load()[0], **self.entries}
-            doc = {
-                "schema_version": self.SCHEMA_VERSION,
-                "entries": [dict(zip(QUERY_FIELDS, key), count=n) for key, n in self.entries.items()],
-            }
+            entries = [dict(zip(QUERY_FIELDS, key), count=n) for key, n in self.entries.items()]
+            doc = json.dumps({"schema_version": self.SCHEMA_VERSION, "entries": entries})  # the C encoder
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(doc, handle, indent=1)
-                    handle.write("\n")
+                    handle.write(doc + "\n")
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
@@ -261,8 +258,7 @@ def emit(fmt: str, record: dict, lines: Sequence[str], row: Optional[dict] = Non
     elif fmt == "csv":
         sys.stdout.write(_render_csv(list(row), [["" if v is None else str(v) for v in row.values()]]))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 class TableSpec(NamedTuple):
@@ -399,9 +395,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     query = _census_query(args)
     items = count_gapsets(query, collect=True).items
-    # a GapSet's fields, in order, are the keys of its JSON record
-    record = {"count": len(items), "items": [vars(item) for item in items]}
-    emit(args.format, record, [format_set(item.elements) or "(empty)" for item in items])
+    if args.format == "json":  # a GapSet's fields, in order, are the keys of its JSON record
+        emit("json", {"count": len(items), "items": [vars(item) for item in items]}, [])
+    else:
+        emit("plain", {}, [format_set(item.elements) or "(empty)" for item in items])
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "KunzVector",
     "coords_violation",
     "from_kunz",
+    "kunz_elements",
     "kunz_system_violation",
     "pseudo_apery",
     "pseudo_kunz",
@@ -65,7 +66,7 @@ class KunzVector:
                 f"expected {self.modulus - 1} coordinates for modulus {self.modulus}, "
                 f"got {len(self.coords)}"
             )
-        if any(k < 1 for k in self.coords):
+        if min(self.coords) < 1:
             raise ValueError("all coordinates must be positive")
 
     @property
@@ -100,19 +101,21 @@ def pseudo_kunz(ext: MExtension) -> KunzVector:
     return KunzVector(m, tuple(counts[1:]))
 
 
-def from_kunz(v: KunzVector) -> MExtension:
-    """The unique m-extension with the given coordinates.
+def kunz_elements(coords: Sequence[int]) -> tuple[int, ...]:
+    """The elements, ascending, of the m-extension with coordinates (k_1, ..., k_(m-1)),
+    m = len(coords) + 1: residue class i is the run i, i+m, ..., i+(k_i - 1)m."""
+    if coords and min(coords) < 1:
+        raise ValueError("all coordinates must be positive")
+    m, elements = len(coords) + 1, []
+    for i, k in enumerate(coords, start=1):
+        elements += range(i, i + k * m, m)  # the whole run at C speed
+    return tuple(sorted(elements))
 
-    Residue class i is filled with the run i, i+m, ..., i+(k_i - 1)m; the
-    result has genus sum(coords) and depth max(coords).
-    """
-    m = v.modulus
-    elements = []
-    for j, kj in enumerate(v.coords, start=1):
-        elements.extend(j + t * m for t in range(kj))
-    elements.sort()
-    conductor = elements[-1] + 1
-    return MExtension(tuple(elements), m, sum(v.coords), conductor, max(v.coords))
+
+def from_kunz(v: KunzVector) -> MExtension:
+    """The unique m-extension with the given coordinates; genus sum(coords), depth max(coords)."""
+    elements = kunz_elements(v.coords)
+    return MExtension(elements, v.modulus, len(elements), elements[-1] + 1, max(v.coords))
 
 
 def coords_violation(coords: Sequence[int]) -> Optional[tuple[int, int]]:

@@ -112,7 +112,7 @@ def compositions_fixed_parts(
     """Compositions of g into exactly `parts` parts, lexicographic."""
     if parts < 1:
         raise ValueError(f"part count must be >= 1, got {parts}")
-    yield from _compositions(g, 1, g if max_part is None else max_part, parts)
+    yield from _compositions(g, 1, _part_bound(g, max_part), parts)
 
 
 def enumerate_depth3_family(g: int) -> Iterator[KunzVector]:

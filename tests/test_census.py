@@ -194,12 +194,12 @@ def test_one_pool_per_command(pool_sizes, capsys):
 
 
 def test_collect_matches_count_and_order():
-    res = count_gapsets(q(7), collect=True)
-    assert res.count == len(res.items) == NG[7]
-    assert all(isinstance(item, GapSet) for item in res.items)
-    # every item independently verified by the definitional check
-    for item in res.items:
-        assert classify_gapset(item.elements) == item
+    # every item, each field, independently verified by the definitional check
+    for g in range(13):
+        res = count_gapsets(q(g), collect=True)
+        assert res.count == len(res.items) == NG[g]
+        for item in res.items:
+            assert classify_gapset(item.elements) == item
     res0 = count_gapsets(q(0), collect=True)
     assert res0.items == (GapSet((), 0, 1, 0, 0),)
     # under every filter, the items are the brute-force filtered walk in its order

@@ -60,6 +60,8 @@ COMMANDS = [
     "enumerate --genus 11 --depth 12",
     "table --which t4 --gmax 12 --format csv",
     "bounds --genus 12 --M 5",
+    "enumerate --genus 12",
+    "enumerate --genus 0",
 ]
 
 

@@ -10,6 +10,7 @@ from gapsets.kunz import (
     KunzVector,
     coords_violation,
     from_kunz,
+    kunz_elements,
     kunz_system_violation,
     pseudo_apery,
     pseudo_kunz,
@@ -46,12 +47,18 @@ def test_from_kunz_worked_examples():
 
 
 def test_kunz_vector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^all coordinates must be positive$"):
         KunzVector(3, (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^all coordinates must be positive$"):
+        KunzVector(4, (2, -1, 1))
+    with pytest.raises(ValueError, match="^expected 2 coordinates for modulus 3, got 3$"):
         KunzVector(3, (1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modulus must be > 1$"):
         KunzVector(1, ())
+    # the census builds its gapsets with kunz_elements alone: it checks the same rule
+    for coords in [(0,), (1, 0), (3, -2, 1)]:
+        with pytest.raises(ValueError, match="^all coordinates must be positive$"):
+            kunz_elements(coords)
 
 
 def test_system_worked_examples():
@@ -141,9 +148,13 @@ def test_system_agrees_with_direct_classification(mc):
 
 
 def test_cor_33_exhaustive_small_grid():
-    # genus/depth formulas over every vector with modulus <= 5, coords <= 4
-    for m in range(2, 6):
+    # genus/depth formulas over every vector with modulus <= 7, coords <= 4;
+    # x is in the set exactly when x is not a multiple of m and x // m < k_(x mod m)
+    for m in range(2, 8):
         for coords in itertools.product(range(1, 5), repeat=m - 1):
+            runs = tuple(x for x in range(1, m * max(coords)) if x % m and x // m < coords[x % m - 1])
             a = from_kunz(KunzVector(m, coords))
+            assert a.elements == kunz_elements(coords) == runs
             assert a.genus == sum(coords)
             assert a.depth == max(coords)
+            assert (a.modulus, a.conductor) == (m, runs[-1] + 1)

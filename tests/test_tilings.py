@@ -30,6 +30,13 @@ def test_rejects_bad_arguments():
         list(enumerate_compositions(-2))
     with pytest.raises(ValueError):
         list(enumerate_compositions(4, max_part=0))
+    # the fixed-part stream rejects the same boards and part bounds, with the same message
+    for g, max_part in [(0, None), (-2, None), (5, 0), (5, -1)]:
+        with pytest.raises(ValueError) as full:
+            list(enumerate_compositions(g, max_part=max_part))
+        with pytest.raises(ValueError) as fixed:
+            list(compositions_fixed_parts(g, 1, max_part=max_part))
+        assert str(fixed.value) == str(full.value)
 
 
 def test_lexicographic_and_exact():
