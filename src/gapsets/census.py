@@ -8,7 +8,9 @@ every lower genus too.  Coordinates are capped by k_(i+j) <= k_i + k_j
 are checked at the nodes counted, and only at depth 4 or more, the only
 depths where one can fail.  Each node is counted in place, by (genus,
 depth, modulus), as the search reaches it; the running depth is passed
-down, not recomputed.  A depth filter caps every coordinate and a
+down, not recomputed.  A cap of 1 or 2 skips the scan of the pairs (each
+sums to 2 or more), and a node one genus short has its only child,
+k_m = 1, counted in place.  A depth filter caps every coordinate and a
 multiplicity filter fixes their number, so both prune the search; an exact
 depth q also cuts every branch still below q with less than q of the genus
 left to place.  The one entry point, `census_histograms`, returns the
@@ -120,8 +122,9 @@ def _census(
     Every coordinate is at most the cap, `parts` (if set) fixes their
     number, and `first` (if set) the first one; the shard of first
     coordinate 1 also owns the empty gapset.  Position p is capped by
-    k_i + k_(p-i) whatever the final length; only nodes of genus `low` or
-    more pay the wrap-around check.
+    k_i + k_(p-i) whatever the final length (scanned for caps of 3 or more);
+    only nodes of genus `low` or more pay the wrap-around check.  A node of
+    genus G - 1 gets no call: its one child, k_m = 1, is counted in place.
     """
     genus = query.genus
     cap, parts = _search_bounds(query)
@@ -142,9 +145,10 @@ def _census(
     def grow(p: int, g: int, d: int) -> None:
         m = p + 1  # the modulus of the nodes placed at position p
         hi = min(cap, genus - g)
-        for i in range(1, p // 2 + 1):
-            if k[i] + k[p - i] < hi:
-                hi = k[i] + k[p - i]
+        if hi > 2:  # every pair sums to 2 or more, so it cannot lower a cap of 1 or 2
+            for i in range(1, p // 2 + 1):
+                if k[i] + k[p - i] < hi:
+                    hi = k[i] + k[p - i]
         lo = 1
         if parts is not None:  # every later slot takes between 1 and cap
             after = parts - p
@@ -163,7 +167,15 @@ def _census(
                 if items is not None and query.selects(dv, m):
                     items.append(tuple(k[1:m]))
             if h < growing and (dv >= exact or h <= reach):
-                grow(m, h, dv)
+                if h < genus - 1:
+                    grow(m, h, dv)
+                # its only child, k_m = 1, counted in place; the part guard only saves work
+                elif parts in (None, m):
+                    k[m] = 1
+                    if dv <= 3 or wraps(m + 1):
+                        hist[genus, dv, m + 1] += 1
+                        if items is not None and query.selects(dv, m + 1):
+                            items.append(tuple(k[1 : m + 1]))
 
     if low == 0 and parts is None and first in (None, 1):
         hist[0, 0, 1] += 1

@@ -261,6 +261,15 @@ def test_criterion_10_oeis_cross_check(capsys):
           "for g<=18 with exit code 0")
 
 
+def test_extra_fibonacci_like_growth():
+    # Bras-Amoros's conjecture n_g >= n_(g-1) + n_(g-2), and the same for the
+    # depth <= 3 column n'_g (margins 0, 1, 0, 1, 3, ... 526); criterion 01
+    # ties both lists to the census
+    for seq in (N_G, N_PRIME):
+        assert all(seq[g] >= seq[g - 1] + seq[g - 2] for g in range(2, GMAX + 1)), seq
+    print(f"PASS extra: n_g and n'_g are at least Fibonacci-like for 2 <= g <= {GMAX}")
+
+
 def test_extra_finite_monotone_growth():
     # the asymptotic statements are out of reach; the finite shadow is not
     assert all(N_G[g] < N_G[g + 1] for g in range(1, GMAX)), "n_g must grow"

@@ -292,4 +292,8 @@ def test_semigroup_tree_agrees_with_the_census():
     tree = semigroup_tree_histograms(16)
     for g, hist in enumerate(tree):
         assert +hist == census_histograms(q(g))[g], g
+        # the depth and multiplicity filters, each pruning the search its own way
+        shapes = [q(g, max_depth=3), q(g, max_depth=4), q(g, mult=max(2, g // 2 + 1))]
+        for f in shapes + [q(g, depth=d) for d in range(g + 1)]:
+            assert sum(census_histograms(f)[g].values()) == f.count_in(hist), f
     assert census_histograms(q(16), low=0) == {g: +hist for g, hist in enumerate(tree)}
