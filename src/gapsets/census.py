@@ -10,13 +10,13 @@ depths where one can fail.  Each node is counted in place, by (genus,
 depth, modulus), as the search reaches it; the running depth is passed
 down, not recomputed.  A cap of 1 or 2 skips the scan of the pairs (each
 sums to 2 or more), and a node one genus short has its only child,
-k_m = 1, counted in place.  A depth filter caps every coordinate and a
-multiplicity filter fixes their number, so both prune the search; an exact
-depth q also cuts every branch still below q with less than q of the genus
-left to place.  The one entry point, `census_histograms`, returns the
-(depth, multiplicity) histograms of the gapsets a `CensusQuery` selects,
-one per genus.  Counts are exact and bounded by 2**63 - 1; the genus is
-capped accordingly.
+k_m = 1, counted in place.  A depth filter caps every coordinate, and one
+window bounds their number: a multiplicity m fixes it at m - 1, and an
+exact depth q >= 2 caps it, since the conductor is at most 2g, so depth
+<= ceil(2g/m).  An exact depth q also cuts every branch still below q with
+less than q of the genus left.  The one entry point, `census_histograms`,
+returns the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
+selects, one per genus.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -47,7 +47,6 @@ __all__ = [
 
 # Counts live in 64 bits; 2**(g-1) m-extensions at genus g forces g < 64.
 MAX_GENUS = 63
-_MAX_COUNT = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,18 @@ class CensusResult:
     items: Optional[tuple[GapSet, ...]] = None
 
 
-def _search_bounds(query: CensusQuery) -> tuple[int, Optional[int]]:
-    """The search's coordinate cap and part count for a query: its depth
-    bound (else the genus) and its multiplicity - 1 (else free)."""
+def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
+    """The search's coordinate cap (the depth bound, else the genus) and
+    part-count window (pmin, pmax).  A multiplicity m fixes it at m - 1; an
+    exact depth q >= 2 caps it, since a conductor is at most 2g, so depth
+    <= ceil(2g/m) and m <= ceil(2G/(q - 1)) - 1 at every genus up to G."""
     bound = query.depth if query.depth is not None else query.max_depth
     cap = query.genus if bound is None else bound
-    return cap, (None if query.mult is None else query.mult - 1)
+    if query.mult is not None:
+        return cap, query.mult - 1, query.mult - 1
+    if (query.depth or 0) >= 2:
+        return cap, 1, -(-2 * query.genus // (query.depth - 1)) - 2
+    return cap, 1, query.genus
 
 
 def _census(
@@ -119,15 +124,15 @@ def _census(
     (if given) receives the coordinates (k_1, ..., k_(m-1)) of each selected
     gapset, in the lexicographic order of the composition walk.
 
-    Every coordinate is at most the cap, `parts` (if set) fixes their
-    number, and `first` (if set) the first one; the shard of first
-    coordinate 1 also owns the empty gapset.  Position p is capped by
-    k_i + k_(p-i) whatever the final length (scanned for caps of 3 or more);
-    only nodes of genus `low` or more pay the wrap-around check.  A node of
-    genus G - 1 gets no call: its one child, k_m = 1, is counted in place.
+    Every coordinate is at most the cap; a node counts with pmin to pmax
+    parts and grows below pmax; `first` (if set) fixes k_1, and shard 1
+    also owns the empty gapset.  Position p is capped by k_i + k_(p-i)
+    whatever the final length (scanned for caps of 3 or more); only nodes
+    of genus `low` or more pay the wrap-around check.  A node of genus
+    G - 1 gets no call: its one child, k_m = 1, is counted in place.
     """
     genus = query.genus
-    cap, parts = _search_bounds(query)
+    cap, pmin, pmax = _search_bounds(query)
     exact = query.depth or 0
     reach = genus - exact  # a node still below the exact depth q grows only up to genus G - q
     hist: Counter = Counter()
@@ -149,15 +154,15 @@ def _census(
             for i in range(1, p // 2 + 1):
                 if k[i] + k[p - i] < hi:
                     hi = k[i] + k[p - i]
-        lo = 1
-        if parts is not None:  # every later slot takes between 1 and cap
-            after = parts - p
-            hi = min(hi, genus - g - after)
-            lo = max(lo, low - g - cap * after)
+        if p < pmin:  # every later slot takes at least 1 ...
+            hi = min(hi, genus - g - (pmin - p))
+        lo = low - g - cap * (pmax - p)  # ... and at most the cap
+        if lo < 1:
+            lo = 1
         if p == 1 and first is not None:
             lo, hi = max(lo, first), min(hi, first)
-        counted = low if parts in (None, p) else genus + 1  # nodes placed here count from this genus
-        growing = genus if parts != p else 0  # ... and have children below this one
+        counted = low if p >= pmin else genus + 1  # nodes placed here count from this genus
+        growing = genus if p < pmax else 0  # ... and have children below this one
         for v in range(lo, hi + 1):
             k[p] = v
             h = g + v
@@ -169,15 +174,14 @@ def _census(
             if h < growing and (dv >= exact or h <= reach):
                 if h < genus - 1:
                     grow(m, h, dv)
-                # its only child, k_m = 1, counted in place; the part guard only saves work
-                elif parts in (None, m):
+                else:  # its only child, k_m = 1, counted in place (the hi cut keeps m >= pmin)
                     k[m] = 1
                     if dv <= 3 or wraps(m + 1):
                         hist[genus, dv, m + 1] += 1
                         if items is not None and query.selects(dv, m + 1):
                             items.append(tuple(k[1 : m + 1]))
 
-    if low == 0 and parts is None and first in (None, 1):
+    if low == 0 and first in (None, 1):  # under any filter: the histograms filter its cell (0, 0, 1)
         hist[0, 0, 1] += 1
         if items is not None and query.selects(0, 1):
             items.append(())
@@ -188,8 +192,8 @@ def _census(
 def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     """First coordinates a census is sharded by; [None] runs it whole."""
     g = query.genus
-    cap, parts = _search_bounds(query)
-    firsts = list(range(1, min(cap, g if parts is None else g - parts + 1) + 1))
+    cap, pmin, _ = _search_bounds(query)
+    firsts = list(range(1, min(cap, g - pmin + 1) + 1))
     return firsts if jobs > 1 and len(firsts) > 1 else [None]
 
 
@@ -229,8 +233,6 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
         items = tuple(map(_as_gapset, coords))
         return CensusResult(len(items), time.perf_counter() - t0, 1, items)
     total = sum(census_histograms(query, jobs)[query.genus].values())
-    if total > _MAX_COUNT:
-        raise OverflowError("census count exceeds 64 bits")
     return CensusResult(total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
 
 

@@ -8,8 +8,6 @@ returned, so callers never see a silently wrong count.
 
 from __future__ import annotations
 
-from collections import deque
-
 __all__ = [
     "MAX_VALUE",
     "fibonacci",
@@ -54,16 +52,12 @@ def fibonacci_k(k: int, n: int) -> int:
         raise ValueError(f"index must be >= {-k + 2} for k={k}, got {n}")
     if n <= 1:
         return 1 if n == 1 else 0
-    # window holds the last min(k, n) values from index 1 on; while it
-    # holds fewer than k, the value k steps back is one of the initial 0s.
-    # A running sum of the last k values avoids re-summing them.
-    window = deque([1], maxlen=min(k, n))
-    total = 1
+    # terms from index 1 on; the initial 0s add nothing to a sum.  The
+    # 128-bit check stops every order within about 185 terms.
+    terms = [1]
     for _ in range(n - 1):
-        nxt = _checked(total, "k-step fibonacci value")
-        total += nxt - (window[0] if len(window) == k else 0)
-        window.append(nxt)
-    return window[-1]
+        terms.append(_checked(sum(terms[-k:]), "k-step fibonacci value"))
+    return terms[-1]
 
 
 def padovan(n: int) -> int:

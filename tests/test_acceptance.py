@@ -8,6 +8,7 @@ comparisons are exact (integer equality); there are no tolerances to tune.
 import functools
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from gapsets.census import (
     count_gapsets,
     count_gapsets_depth_at_most,
 )
-from gapsets.cli import main
+from gapsets.cli import bundled_bfile, main, parse_bfile
 from gapsets.core import GapSet, classify_gapset
 from gapsets.formulas import (
     f_gq,
@@ -268,6 +269,21 @@ def test_extra_fibonacci_like_growth():
     for seq in (N_G, N_PRIME):
         assert all(seq[g] >= seq[g - 1] + seq[g - 2] for g in range(2, GMAX + 1)), seq
     print(f"PASS extra: n_g and n'_g are at least Fibonacci-like for 2 <= g <= {GMAX}")
+
+
+@pytest.mark.slow
+def test_extra_a007323_and_fibonacci_like_growth_to_genus_24():
+    # opt-in (pytest -m slow), about 3.5 s: one census to g = 24 against the
+    # bundled b-file and the published terms 19..24 the benchmark ships
+    terms = parse_bfile(bundled_bfile())
+    terms |= parse_bfile(Path(__file__).parents[1] / "perfbench" / "data" / "a007323_ext.txt")
+    hists = census_histograms(CensusQuery(24), low=0)
+    ng = [sum(hists[g].values()) for g in range(25)]
+    nprime = [CensusQuery(g, max_depth=3).count_in(hists[g]) for g in range(25)]
+    assert ng == [terms[g] for g in range(25)]
+    for seq in (ng, nprime):
+        assert all(seq[g] >= seq[g - 1] + seq[g - 2] for g in range(2, 25)), seq
+    print("PASS extra: n_g matches A007323 and n_g, n'_g are at least Fibonacci-like for g <= 24")
 
 
 def test_extra_finite_monotone_growth():

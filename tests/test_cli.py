@@ -180,6 +180,26 @@ def test_cache_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []  # no temp file left
 
 
+def test_cache_failed_replace_removes_the_temp_file(tmp_path, monkeypatch):
+    cache_path = tmp_path / "cache.json"
+    cache = CountCache(cache_path)
+    cache.put(CensusQuery(8), 67)
+    cache.save()
+
+    def boom(*args, **kwargs):
+        raise OSError("replace failed")
+
+    cache.put(CensusQuery(9), 118)
+    monkeypatch.setattr(cli.os, "replace", boom)
+    with pytest.raises(OSError, match="replace failed"):
+        cache.save()
+    monkeypatch.undo()
+    fresh = CountCache(cache_path)
+    assert fresh.get(CensusQuery(8)) == 67
+    assert fresh.get(CensusQuery(9)) is None
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".cache.json.")] == []
+
+
 def test_cache_selfcheck(tmp_path, capsys):
     from gapsets.census import count_gapsets
 

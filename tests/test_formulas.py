@@ -91,17 +91,18 @@ def test_f_gq_item3_spot_check():
 
 
 def test_f_gq_past_the_paper_range():
-    # every covered cell with q >= 3 for g = 19..30; the exact-depth pruning
-    # makes each a small search, so this also checks that pruning
+    # every covered cell with q >= 3 for g = 19..50; the part-count window
+    # and the exact-depth pruning make each a small search, so this also
+    # checks both
     cells = 0
-    for g in range(19, 31):
+    for g in range(19, 51):
         for q in range(3, g + 2):
             answer = f_gq(g, q)
             if answer.covered:
                 hist = census_histograms(CensusQuery(g, depth=q))[g]
                 assert answer.value == sum(hist.values()), (g, q, answer.branch)
                 cells += 1
-    assert cells == 180
+    assert cells == 678
 
 
 def test_lower_bound_examples():
