@@ -106,14 +106,14 @@ def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
     """The search's coordinate cap (the depth bound, else the genus) and
     part-count window (pmin, pmax).  A multiplicity m fixes it at m - 1; an
     exact depth q >= 2 caps it, since a conductor is at most 2g, so depth
-    <= ceil(2g/m) and m <= ceil(2G/(q - 1)) - 1 at every genus up to G."""
+    <= ceil(2g/m) and m <= ceil(2G/(q - 1)) - 1 at every genus up to G.
+    With both, pmin > pmax when the depth rules m out: nothing is searched."""
     bound = query.depth if query.depth is not None else query.max_depth
     cap = query.genus if bound is None else bound
-    if query.mult is not None:
-        return cap, query.mult - 1, query.mult - 1
+    pmin, pmax = (1, query.genus) if query.mult is None else (query.mult - 1, query.mult - 1)
     if (query.depth or 0) >= 2:
-        return cap, 1, -(-2 * query.genus // (query.depth - 1)) - 2
-    return cap, 1, query.genus
+        pmax = min(pmax, -(-2 * query.genus // (query.depth - 1)) - 2)
+    return cap, pmin, pmax
 
 
 def _census(

@@ -21,7 +21,6 @@ import json
 import operator
 import os
 import sys
-import tempfile
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -146,34 +145,48 @@ def parse_bfile(path: Path) -> dict[int, int]:
 
 
 class CountCache:
-    """Single-document JSON cache of census counts: one entry per query.
+    """Append-only JSON Lines cache of census counts.
 
-    Unknown schema versions are ignored wholesale (recompute instead of
-    migrating).  `save` merges the file's entries into its own under an
-    exclusive lock on `<path>.lock`, then replaces the file atomically, so
-    neither a crash mid-write nor a concurrent writer loses entries.
+    The file is the header line `{"schema_version": 3}`, then one record per
+    line: a query's fields and its `count`.  A later record of a query
+    supersedes every earlier one.  A file without the header (another
+    schema, such as the single document of schema 2) is ignored wholesale
+    (recompute instead of migrating) and replaced by the next save.  `save`
+    appends the records put since the load in one write, under an exclusive
+    lock on `<path>.lock`: a concurrent writer loses nothing, and a crash
+    mid-write leaves at most a torn last line, which readers skip.
     """
 
-    SCHEMA_VERSION = 2
+    HEADER = b'{"schema_version": 3}\n'
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self.entries, self.rejected = self._load()
+        self.unsaved: dict[tuple, int] = {}
 
     def _load(self) -> tuple[dict[tuple, int], dict[tuple, int]]:
         """The file's entries, and apart from them its records with a field
         that is neither an int nor null; none if the file is missing,
-        unreadable, of another schema or without an entry list.  A record
-        without the fields or the count is skipped."""
+        unreadable or without the header.  A line that does not parse, or a
+        record without the fields or the count, is skipped."""
         try:
-            doc = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            data = self.path.read_bytes()
+        except OSError:
             return {}, {}
-        if not isinstance(doc, dict) or doc.get("schema_version") != self.SCHEMA_VERSION:
+        if not data.startswith(self.HEADER):
             return {}, {}
-        records = doc.get("entries")
+        body = data[len(self.HEADER) :].rstrip(b"\n")
+        try:  # one parse of every line at once
+            records = json.loads(b"[" + body.replace(b"\n", b",") + b"]")
+        except ValueError:  # a torn or foreign line: parse the others one by one
+            records = []
+            for line in body.splitlines():
+                try:
+                    records.append(json.loads(line))
+                except ValueError:
+                    pass
         entries, rejected = {}, {}
-        for rec in records if isinstance(records, list) else []:
+        for rec in records:
             try:
                 key, count = _record_key(rec), int(rec["count"])
             except (KeyError, TypeError, ValueError):
@@ -183,31 +196,43 @@ class CountCache:
             ints = type(genus) is int and (depth is None or type(depth) is int)
             if ints and (max_depth is None or type(max_depth) is int) and (mult is None or type(mult) is int):
                 entries[key] = count
+                rejected.pop(key, None)
             else:
                 rejected[key] = count
+                entries.pop(key, None)
         return entries, rejected
 
     def get(self, query: CensusQuery) -> Optional[int]:
         return self.entries.get(query_key(query))
 
     def put(self, query: CensusQuery, count: int) -> None:
-        self.entries[query_key(query)] = count
+        key = query_key(query)
+        self.entries[key] = self.unsaved[key] = count
 
     def save(self) -> None:
+        """Append the records put since the load or the last save."""
+        if not self.unsaved:
+            return
+        records = (json.dumps(dict(zip(QUERY_FIELDS, key), count=n)) + "\n" for key, n in self.unsaved.items())
+        data = "".join(records).encode()
         with open(f"{self.path}.lock", "a") as lock:
-            if fcntl is not None:  # without it the replace is still atomic, but unlocked
+            if fcntl is not None:  # without it the append goes unlocked
                 fcntl.flock(lock, fcntl.LOCK_EX)
-            self.entries = {**self._load()[0], **self.entries}
-            entries = [dict(zip(QUERY_FIELDS, key), count=n) for key, n in self.entries.items()]
-            doc = json.dumps({"schema_version": self.SCHEMA_VERSION, "entries": entries})  # the C encoder
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | getattr(os, "O_BINARY", 0), 0o666)
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(doc + "\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+                if os.read(fd, len(self.HEADER)) != self.HEADER:
+                    os.ftruncate(fd, 0)
+                    data = self.HEADER + data
+                else:  # close a line torn by a crash, so that it spoils no record of ours
+                    os.lseek(fd, -1, os.SEEK_END)
+                    if os.read(fd, 1) != b"\n":
+                        data = b"\n" + data
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+        self.unsaved.clear()
 
     def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
         """Check every cached entry against one unfiltered census up to the

@@ -1,7 +1,8 @@
 """The benchmark in perfbench/ reaches into the package by name and argv.
 
 `perfbench/tracing.py` rebinds the names in its BOUNDARIES by getattr, and
-its `run_probes` calls a few library functions that no CLI path uses;
+`CountCache`'s `_load` and `save` from the class's own `__dict__`; its
+`run_probes` calls a few library functions that no CLI path uses;
 `perfbench/workloads.py` builds the argv of every op it runs.  A rename,
 deletion or flag change would only show when the benchmark runs; these
 tests make it show in the suite.
@@ -40,6 +41,13 @@ def test_traced_boundaries_resolve():
         for names in layers.values():
             for name in names:
                 assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_traced_cache_methods_resolve():
+    from gapsets.cli import CountCache
+
+    for name in ("_load", "save"):
+        assert callable(CountCache.__dict__.get(name)), f"CountCache.{name}"
 
 
 def test_probed_names_resolve():

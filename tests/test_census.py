@@ -114,6 +114,12 @@ def test_no_gapsets_between_two_thirds_and_genus():
             assert count_gapsets(q(g, depth=depth)).count == 0
 
 
+def test_no_gapsets_of_a_multiplicity_the_depth_rules_out():
+    # depth <= ceil(2g/m): depth 25 at g = 60 needs m <= 5, depth 12 at g = 30 needs m <= 6
+    assert count_gapsets(q(60, depth=25, mult=6)).count == 0
+    assert count_gapsets(q(30, depth=12, mult=8)).count == 0
+
+
 def test_depth_window_over_census():
     for g in range(1, 15):
         for c in enumerate_compositions(g):

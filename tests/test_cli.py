@@ -28,6 +28,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_cache(path, records):
+    """A schema-3 count cache: the header line, then one JSON record a line."""
+    path.write_bytes(CountCache.HEADER + "".join(json.dumps(rec) + "\n" for rec in records).encode())
+
+
+def read_cache(path):
+    """The records of a schema-3 count cache, in file order, after its header."""
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    assert header == CountCache.HEADER
+    return [json.loads(line) for line in lines]
+
+
 def test_parse_helpers():
     assert parse_set("1,2,4,7,10") == (1, 2, 4, 7, 10)
     assert parse_set("") == ()
@@ -84,12 +96,15 @@ def test_count_cache_round_trip(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
     code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
     assert code == 0 and out.strip() == "67"
-    doc = json.loads(cache_path.read_text())
-    assert doc["schema_version"] == 2
-    assert doc["entries"][0]["count"] == 67
-    # second run hits the cache
+    assert read_cache(cache_path) == [{"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 67}]
+    # second run hits the cache, and leaves the file as it was
+    before = cache_path.read_bytes()
     code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path), "--format", "json")
     assert code == 0 and json.loads(out)["cached"] is True
+    assert cache_path.read_bytes() == before
+    # a save with nothing put touches no file
+    CountCache(tmp_path / "none.json").save()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "cache.json.lock"]
 
 
 def test_cache_unknown_schema_ignored(tmp_path, capsys):
@@ -97,12 +112,15 @@ def test_cache_unknown_schema_ignored(tmp_path, capsys):
     entry = {"g": 8, "depth": "any", "mult": "any", "count": 1, "at": 0}
     # schema 1: the format before entries were keyed by the query's fields
     docs = [{"schema_version": version, "entries": [entry]} for version in (99, 1)]
-    # schema 2 without an entry list
+    # schema 2 without an entry list, and a valid schema-2 document
     docs += [{"schema_version": 2, "entries": entries} for entries in (5, None, "genus")]
+    record = {"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 1}
+    docs.append({"schema_version": 2, "entries": [record]})
     for doc in docs:
         cache_path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
         assert (code, out.strip(), err) == (0, "67", ""), doc  # recomputed, not the bogus 1
+        assert read_cache(cache_path) == [{**record, "count": 67}], doc  # and the file replaced
 
 
 def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
@@ -112,7 +130,7 @@ def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
         {"genus": 6, "depth": None, "max_depth": 2.5, "mult": None, "count": 12},
         {"genus": 7, "depth": None, "max_depth": None, "mult": None, "count": 39},
     ]
-    cache_path.write_text(json.dumps({"schema_version": 2, "entries": entries}))
+    write_cache(cache_path, entries)
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 3
     assert out.splitlines() == [
@@ -120,7 +138,7 @@ def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
         "genus=6 depth=None max_depth=2.5 mult=None: not a census query",
     ]
     # a float as the largest genus once reached range() inside the census
-    cache_path.write_text(json.dumps({"schema_version": 2, "entries": entries[:1]}))
+    write_cache(cache_path, entries[:1])
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 3
     assert out.splitlines() == ["genus=5.0 depth=None max_depth=None mult=None: not a census query"]
@@ -130,7 +148,7 @@ def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
     floats = {"genus": 8.0, "depth": None, "max_depth": None, "mult": None, "count": 1}
     bools = {"genus": 8, "depth": None, "max_depth": True, "mult": None, "count": 5}
-    cache_path.write_text(json.dumps({"schema_version": 2, "entries": [floats, bools]}))
+    write_cache(cache_path, [floats, bools])
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 3 and out.splitlines() == [
         "genus=8.0 depth=None max_depth=None mult=None: not a census query",
@@ -140,13 +158,26 @@ def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
     for flags, count in ((), 67), (("--max-depth", "1"), 1):
         code, out, _ = run(capsys, "count", "--genus", "8", *flags, "--cache", str(cache_path), "--format", "json")
         assert code == 0 and (json.loads(out)["count"], json.loads(out)["cached"]) == (count, False)
-    # and the saves wrote a clean file
-    assert json.loads(cache_path.read_text())["entries"] == [
+    # and the saves appended clean records, which supersede the rejected ones
+    assert read_cache(cache_path) == [
+        floats,
+        bools,
         {**floats, "genus": 8, "count": 67},
         {**bools, "max_depth": 1, "count": 1},
     ]
+    assert CountCache(cache_path).rejected == {}
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert (code, out) == (0, "cache ok: 2 entries verified\n")
+
+
+def test_cache_later_record_supersedes(tmp_path):
+    cache_path = tmp_path / "cache.json"
+    record = {"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 67}
+    bounded = {**record, "max_depth": 3, "count": 1}
+    write_cache(cache_path, [record, {**record, "genus": 8.0}, bounded, {**bounded, "count": 62}])
+    cache = CountCache(cache_path)
+    assert cache.entries == {(8, None, 3, None): 62}
+    assert cache.rejected == {(8, None, None, None): 67}
 
 
 def test_cache_concurrent_writers_keep_both_entries(tmp_path):
@@ -180,24 +211,41 @@ def test_cache_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []  # no temp file left
 
 
-def test_cache_failed_replace_removes_the_temp_file(tmp_path, monkeypatch):
+def test_cache_torn_append_keeps_every_whole_record(tmp_path, monkeypatch):
     cache_path = tmp_path / "cache.json"
     cache = CountCache(cache_path)
     cache.put(CensusQuery(8), 67)
     cache.save()
+    write = cli.os.write
 
-    def boom(*args, **kwargs):
-        raise OSError("replace failed")
+    def torn(fd, data):  # a crash mid-write: half the bytes reach the file
+        write(fd, data[: len(data) // 2])
+        raise OSError("write failed")
 
     cache.put(CensusQuery(9), 118)
-    monkeypatch.setattr(cli.os, "replace", boom)
-    with pytest.raises(OSError, match="replace failed"):
+    monkeypatch.setattr(cli.os, "write", torn)
+    with pytest.raises(OSError, match="write failed"):
         cache.save()
     monkeypatch.undo()
     fresh = CountCache(cache_path)
     assert fresh.get(CensusQuery(8)) == 67
     assert fresh.get(CensusQuery(9)) is None
-    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".cache.json.")] == []
+    # the next save's record is not glued to the torn line
+    fresh.put(CensusQuery(10), 204)
+    fresh.save()
+    fresh = CountCache(cache_path)
+    assert (fresh.get(CensusQuery(8)), fresh.get(CensusQuery(9)), fresh.get(CensusQuery(10))) == (67, None, 204)
+
+
+def test_cache_miss_needs_no_rename(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise OSError("replace failed")
+
+    cache_path = tmp_path / "cache.json"
+    monkeypatch.setattr(cli.os, "replace", boom)
+    code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
+    assert (code, out, err) == (0, "67\n", "")
+    assert CountCache(cache_path).get(CensusQuery(8)) == 67
 
 
 def test_cache_selfcheck(tmp_path, capsys):
@@ -211,9 +259,9 @@ def test_cache_selfcheck(tmp_path, capsys):
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 0 and "3 entries verified" in out
     # poison one entry: selfcheck must fail with exit 3
-    doc = json.loads(cache_path.read_text())
-    doc["entries"][0]["count"] += 1
-    cache_path.write_text(json.dumps(doc))
+    records = read_cache(cache_path)
+    records[0]["count"] += 1
+    write_cache(cache_path, records)
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 3 and "!=" in out
 
@@ -234,7 +282,7 @@ def test_selfcheck_guard(tmp_path, capsys):
     # what `count --genus 30 --mult 3 --force --cache PATH` writes
     cache_path = tmp_path / "cache.json"
     entry = {"genus": 30, "depth": None, "max_depth": None, "mult": 3, "count": 11}
-    cache_path.write_text(json.dumps({"schema_version": 2, "entries": [entry]}))
+    write_cache(cache_path, [entry])
     code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 2 and out == "" and "--force" in err
 
