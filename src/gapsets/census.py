@@ -14,9 +14,10 @@ k_m = 1, counted in place.  A depth filter caps every coordinate, and one
 window bounds their number: a multiplicity m fixes it at m - 1, and an
 exact depth q >= 2 caps it, since the conductor is at most 2g, so depth
 <= ceil(2g/m).  An exact depth q also cuts every branch still below q with
-less than q of the genus left.  The one entry point, `census_histograms`,
+less than q of the genus left.  Two entry points run it: `census_histograms`
 returns the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
-selects, one per genus.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.
+selects, one per genus, and `census_coords` their Kunz coordinates, one
+tuple each.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -40,6 +40,7 @@ __all__ = [
     "MAX_GENUS",
     "CensusQuery",
     "CensusResult",
+    "census_coords",
     "census_histograms",
     "count_gapsets",
     "count_gapsets_depth_at_most",
@@ -210,6 +211,8 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
     if len(firsts) == 1:
         flat = _census(query, low, firsts[0])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a sharded census loads the pool
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
             flat = sum(pool.map(partial(_census, query, low), firsts), Counter())
     hists = {g: Counter() for g in range(low, query.genus + 1)}
@@ -217,6 +220,15 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
         if query.selects(q, m):
             hists[g][q, m] = n
     return hists
+
+
+def census_coords(query: CensusQuery) -> list[tuple[int, ...]]:
+    """The Kunz coordinates (k_1, ..., k_(m-1)) of every gapset the query
+    selects, in the lexicographic order of the composition walk; the empty
+    gapset's are ().  Every coordinate is at least 1."""
+    coords: list = []
+    _census(query, query.genus, items=coords)
+    return coords
 
 
 def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> CensusResult:
@@ -228,9 +240,7 @@ def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> C
     """
     t0 = time.perf_counter()
     if collect:
-        coords: list = []
-        _census(query, query.genus, items=coords)
-        items = tuple(map(_as_gapset, coords))
+        items = tuple(map(_as_gapset, census_coords(query)))
         return CensusResult(len(items), time.perf_counter() - t0, 1, items)
     total = sum(census_histograms(query, jobs)[query.genus].values())
     return CensusResult(total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 # perfbench/tracing.py wraps count_gapsets_depth_at_most by name in this module
 from .census import (
     CensusQuery,
+    census_coords,
     census_histograms,
     count_gapsets,
     count_gapsets_depth_at_most,
@@ -417,13 +418,30 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _gapset_lines(coords: Sequence[tuple[int, ...]], genus: int) -> list[str]:
+    """The plain `enumerate` line of each gapset of that genus, read off its
+    Kunz coordinates (k_1, ..., k_(m-1)), each at least 1, with no sort:
+    row t holds t*m + i for each residue i with k_i > t, rows ascending.
+    Every element of a genus-g gapset is at most 2g - 1."""
+    names = list(map(str, range(2 * genus + 2)))
+    lines = []
+    for k in coords:
+        m = len(k) + 1
+        row = names[1:m]  # row 0: every k_i >= 1
+        for t in range(1, max(k, default=1)):
+            base = t * m
+            row += [names[base + i] for i, ki in enumerate(k, 1) if ki > t]
+        lines.append(",".join(row) or "(empty)")
+    return lines
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     query = _census_query(args)
-    items = count_gapsets(query, collect=True).items
     if args.format == "json":  # a GapSet's fields, in order, are the keys of its JSON record
+        items = count_gapsets(query, collect=True).items
         emit("json", {"count": len(items), "items": [vars(item) for item in items]}, [])
     else:
-        emit("plain", {}, [format_set(item.elements) or "(empty)" for item in items])
+        emit("plain", {}, _gapset_lines(census_coords(query), query.genus))
     return EXIT_OK
 
 

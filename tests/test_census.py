@@ -160,8 +160,6 @@ def test_one_pass_equals_the_per_genus_loop():
 def pool_sizes(monkeypatch):
     """The census's process pool replaced by one that runs in this process;
     returns the sizes asked of every pool built."""
-    from gapsets import census
-
     asked = []
 
     class InProcessPool:  # records the pool size; starts no process
@@ -177,7 +175,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return asked
 
 

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,12 +16,13 @@ from gapsets import cli
 from gapsets.cli import (
     CountCache,
     bundled_bfile,
+    format_set,
     main,
     parse_bfile,
     parse_kunz,
     parse_set,
 )
-from gapsets.census import CensusQuery
+from gapsets.census import CensusQuery, count_gapsets
 from gapsets.core import GapSet, classify_gapset
 from gapsets.kunz import KunzVector, from_kunz
 
@@ -384,6 +389,42 @@ def test_enumerate(capsys):
     assert record["count"] == 7 and len(record["items"]) == 7
     code, _, _ = run(capsys, "enumerate", "--genus", "23")
     assert code == 2  # guard without --force
+
+
+def enumerate_queries():
+    """Every filter shape for g <= 10, and the unfiltered census for g <= 14."""
+    for g in range(11):
+        for depth, max_depth in [(None, None)] + [(q, None) for q in range(g + 2)] + [(None, q) for q in range(g + 1)]:
+            for mult in [None, *range(2, g + 3)]:
+                yield CensusQuery(g, depth, max_depth, mult)
+    for g in range(15):
+        yield CensusQuery(g)
+
+
+def query_flags(query):
+    """The `enumerate` flags that ask for the query."""
+    values = zip(cli.QUERY_FIELDS, cli.query_key(query))
+    return [arg for name, v in values if v is not None for arg in ("--" + name.replace("_", "-"), str(v))]
+
+
+def test_enumerate_lines_match_the_definitional_path(capsys):
+    # the plain listing, read row by row off the coordinates, against each GapSet's sorted elements
+    queries = list(enumerate_queries())
+    assert len(queries) == 1313
+    for query in queries:
+        items = count_gapsets(query, collect=True).items
+        expected = "".join((format_set(item.elements) or "(empty)") + "\n" for item in items)
+        assert run(capsys, "enumerate", *query_flags(query)) == (0, expected, ""), query
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a sharded census (--jobs N, N > 1) imports the pool and multiprocessing
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = "import sys, gapsets.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_table_t4(capsys):

@@ -62,6 +62,7 @@ COMMANDS = [
     "bounds --genus 12 --M 5",
     "enumerate --genus 12",
     "enumerate --genus 0",
+    "enumerate --genus 13 --depth 5",
 ]
 
 
