@@ -19,6 +19,12 @@ returns the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
 selects, one per genus, and `census_coords` their Kunz coordinates, one
 tuple each.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.
 
+A sharded census splits the search by its first coordinate k_1.  The
+calling process and up to jobs - 1 forked children take the shards one at
+a time from a single pipe, so the work balances itself; each child sends
+its counts back over a pipe of its own.  No process pool is started, and
+a platform without `os.fork` counts every shard in the calling process.
+
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
 paper's tiling bijection and depth-3 family) is in turn the census's
@@ -27,11 +33,12 @@ brute-force oracle in the tests.
 
 from __future__ import annotations
 
+import marshal
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .core import GapSet
 from .kunz import kunz_elements
@@ -198,11 +205,89 @@ def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     return firsts if jobs > 1 and len(firsts) > 1 else [None]
 
 
+def _take_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int) -> Counter:
+    """The counts of every shard this process takes from the task pipe:
+    one byte, a shard's index, per read, until the pipe is empty."""
+    flat: Counter = Counter()
+    while index := os.read(tasks, 1):
+        flat.update(_census(query, low, firsts[index[0]]))
+    return flat
+
+
+def _shard_worker(
+    query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int, into: int, inherited: tuple[int, ...]
+) -> NoReturn:
+    """A forked child's whole life: close the result pipes' read ends it
+    inherited, take shards, send their counts as one marshalled dict, and
+    leave with status 0, or 1 on any failure, without returning into the
+    parent's stack."""
+    status = 1
+    try:
+        for fd in inherited:  # with no reader but the parent, a write after its death fails
+            os.close(fd)
+        payload = memoryview(marshal.dumps(dict(_take_shards(query, low, firsts, tasks))))
+        while payload:  # a pipe may take fewer bytes than asked
+            payload = payload[os.write(into, payload) :]
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()  # the parent reports the exit status
+    finally:
+        os._exit(status)
+
+
+def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], workers: int) -> Counter:
+    """The shards' summed counts, from this process and workers - 1 forked
+    children pulling shard indices from one pipe.  A child that fails
+    raises ChildProcessError; on any error, this process's own included,
+    every child still running is killed, and every child is reaped."""
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(firsts))))  # at most MAX_GENUS bytes: one write, below PIPE_BUF
+    os.close(feed)  # the readers see the end of the tasks once they are taken
+    children: dict[int, int] = {}  # pid -> the read end of its result pipe, until reaped
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                raise
+            if pid == 0:
+                _shard_worker(query, low, firsts, tasks, into, (out, *children.values()))
+            os.close(into)
+            children[pid] = out
+        flat = _take_shards(query, low, firsts, tasks)
+        for pid, out in list(children.items()):
+            chunks = []
+            while chunk := os.read(out, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(out)
+            if status:
+                how = f"exited with status {status}" if status > 0 else f"was killed by signal {-status}"
+                raise ChildProcessError(f"census shard worker {pid} {how}")
+            flat.update(marshal.loads(b"".join(chunks)))
+        return flat
+    finally:
+        os.close(tasks)
+        if children:  # only after an error: stop and reap the rest
+            from signal import SIGKILL
+
+            for pid, out in children.items():
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(out)
+
+
 def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = None) -> dict[int, Counter]:
     """Number of gapsets the query selects, by (depth, multiplicity), for
     each genus from `low` (default: the query's genus) up to the query's,
-    all from one search.  With jobs > 1 it is sharded by first coordinate
-    and the shards are counted in parallel, in one pool.
+    all from one search.  With jobs > 1 it is sharded by first coordinate,
+    and this process and up to jobs - 1 forked children count the shards.
     """
     low = query.genus if low is None else low
     if not 0 <= low <= query.genus:
@@ -211,10 +296,8 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
     if len(firsts) == 1:
         flat = _census(query, low, firsts[0])
     else:
-        from concurrent.futures import ProcessPoolExecutor  # only a sharded census loads the pool
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
-            flat = sum(pool.map(partial(_census, query, low), firsts), Counter())
+        workers = min(jobs, len(firsts)) if hasattr(os, "fork") else 1
+        flat = _census_shards(query, low, firsts, workers)
     hists = {g: Counter() for g in range(low, query.genus + 1)}
     for (g, q, m), n in flat.items():
         if query.selects(q, m):

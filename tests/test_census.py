@@ -1,3 +1,5 @@
+import os
+import select
 from collections import Counter
 from itertools import count
 
@@ -139,11 +141,22 @@ def test_sharded_equals_unsharded():
         assert count_gapsets(q(g), jobs=2).count == count_gapsets(q(g)).count
         assert census_histograms(q(g), jobs=2)[g] == census_histograms(q(g))[g]
     assert census_histograms(q(14, max_depth=5, mult=5), jobs=2)[14] == census_histograms(q(14, max_depth=5, mult=5))[14]
-    for f in one_pass_filters(16):  # every genus from 0, the empty gapset's shard included
-        assert census_histograms(q(16, **f), jobs=2, low=0) == census_histograms(q(16, **f), low=0), f
+    for f in one_pass_filters(16) + [{"depth": 4, "mult": 5}]:  # every genus from 0, the empty gapset's shard included
+        whole = census_histograms(q(16, **f), low=0)
+        for jobs in (2, 3):
+            assert census_histograms(q(16, **f), jobs=jobs, low=0) == whole, (f, jobs)
     r = count_gapsets(q(13), jobs=3)
     assert r.count == NG[13]
     assert r.shards == 13
+
+
+def test_shards_run_in_process_without_fork(monkeypatch):
+    expected = {f"{f}": census_histograms(q(14, **f), low=0) for f in one_pass_filters(14)}
+    monkeypatch.delattr(os, "fork")  # a platform without fork: any fork would raise AttributeError
+    for f in one_pass_filters(14):
+        assert census_histograms(q(14, **f), jobs=3, low=0) == expected[f"{f}"], f
+    assert count_gapsets(q(13), jobs=3).shards == 13
+    assert_no_child_left()
 
 
 def test_one_pass_equals_the_per_genus_loop():
@@ -156,45 +169,110 @@ def test_one_pass_equals_the_per_genus_loop():
         assert census_histograms(q(14, **f), jobs=2, low=0) == census_histograms(q(14, **f), low=0), f
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # waitpid finds no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The census's process pool replaced by one that runs in this process;
-    returns the sizes asked of every pool built."""
-    asked = []
+def forks(monkeypatch):
+    """`os.fork` wrapped to record, in this process, the pid of every child
+    it starts."""
+    started = []
+    real_fork = os.fork
 
-    class InProcessPool:  # records the pool size; starts no process
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    return asked
+    monkeypatch.setattr(os, "fork", fork)
+    return started
 
 
-def test_pool_never_larger_than_the_shard_count(pool_sizes):
+def test_forks_never_outnumber_the_shards(forks):
     from gapsets import census
 
     expected = census_histograms(q(10), jobs=1)[10]
+    assert forks == []
     assert census_histograms(q(10), jobs=10_000)[10] == expected
-    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(census._shard_firsts(q(10), 10_000))
+    assert len(forks) == len(census._shard_firsts(q(10), 10_000)) - 1  # the caller counts too
+    assert_no_child_left()
 
 
-def test_one_pool_per_command(pool_sizes, capsys):
+def test_one_fork_group_per_command(forks, monkeypatch, capsys):
+    from gapsets import census
     from gapsets.cli import main
 
+    groups = []
+    real_shards = census._census_shards
+
+    def shards(*args):
+        groups.append(len(forks))
+        return real_shards(*args)
+
+    monkeypatch.setattr(census, "_census_shards", shards)
     for argv in (["table", "--which", "t1", "--gmax", "12", "--jobs", "2"], ["oeis", "--gmax", "12", "--jobs", "2"]):
-        pool_sizes.clear()
+        forks.clear()
+        groups.clear()
         assert main(argv) == 0
-        assert len(pool_sizes) == 1, argv
+        assert groups == [0] and len(forks) == 1, argv  # one sharded census, which forked one child
     capsys.readouterr()
+    assert_no_child_left()
+
+
+@pytest.fixture
+def failing_census(monkeypatch):
+    """Makes `_census` raise in this process (`"parent"`) or only in its
+    forked children (`"child"`).  The other side holds its first shard
+    until the failing side has taken one, then counts as usual.  Returns
+    the signalling pipe, for the test to close."""
+    from gapsets import census
+
+    real_census = census._census
+    parent = os.getpid()
+
+    def make(where, error=RuntimeError):
+        failed_r, failed_w = os.pipe()
+
+        def fake(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
+                os.write(failed_w, b"!")
+                raise error("injected census failure")
+            ready, _, _ = select.select([failed_r], [], [], 10)
+            if not ready:
+                raise TimeoutError("the failing side took no shard")
+            return real_census(*args, **kwargs)
+
+        monkeypatch.setattr(census, "_census", fake)
+        return failed_r, failed_w
+
+    return make
+
+
+def test_a_failing_child_raises_and_every_child_is_reaped(failing_census, capfd):
+    fds = failing_census("child")
+    try:
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            census_histograms(q(12), jobs=2)
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert "injected census failure" in capfd.readouterr().err  # the child's traceback
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_parent_kills_and_reaps_every_child(failing_census, error):
+    fds = failing_census("parent", error)
+    try:
+        with pytest.raises(error, match="injected census failure"):
+            census_histograms(q(12), jobs=3)
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert_no_child_left()
 
 
 def test_collect_matches_count_and_order():

@@ -418,13 +418,23 @@ def test_enumerate_lines_match_the_definitional_path(capsys):
 
 
 def test_cli_import_loads_no_process_pool():
-    # only a sharded census (--jobs N, N > 1) imports the pool and multiprocessing
+    # a sharded census forks its workers itself: neither importing the CLI nor --jobs 2 loads a pool
     src = Path(__file__).resolve().parents[1] / "src"
     path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    probe = "import sys, gapsets.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    pools = "{'multiprocessing', 'concurrent.futures'}"
+    probes = [
+        f"import sys, gapsets.cli; print(sorted({pools} & set(sys.modules)))",
+        "import io, sys, contextlib, gapsets.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = gapsets.cli.main(['count', '--genus', '12', '--jobs', '2'])\n"
+        f"print(code, out.getvalue().strip(), sorted({pools} & set(sys.modules)))",
+    ]
+    got = [
+        subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+        for probe in probes
+    ]
+    assert got == ["[]\n", "0 592 []\n"]
 
 
 def test_table_t4(capsys):

@@ -10,7 +10,8 @@ writes no name list of its own.
 
 The library modules import one another along a fixed graph: the census
 engine and the tilings rest on the sets and their Kunz coordinates, the
-formulas on the sequences.
+formulas on the sequences.  No module imports a process pool: a sharded
+census forks its own workers.
 """
 
 import ast
@@ -104,3 +105,19 @@ def test_library_import_graph():
     assert sorted(IMPORTS) == sorted(LIBRARY)
     for module in LIBRARY:
         assert package_imports(SOURCES[0].parent / f"{module}.py") == IMPORTS[module], module
+
+
+def top_level_imports(path):
+    """The top-level names of the modules one source file imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_process_pool_import(path):
+    assert top_level_imports(path) & {"multiprocessing", "concurrent"} == set()
