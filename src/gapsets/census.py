@@ -17,7 +17,10 @@ exact depth q >= 2 caps it, since the conductor is at most 2g, so depth
 less than q of the genus left.  Two entry points run it: `census_histograms`
 returns the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
 selects, one per genus, and `census_coords` their Kunz coordinates, one
-tuple each.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.
+tuple each.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.  The
+census returns counts and coordinates only and imports no other module of
+the package: a caller that wants the sets builds them with
+`kunz.kunz_elements`.
 
 A sharded census splits the search by its first coordinate k_1.  The
 calling process and up to jobs - 1 forked children take the shards one at
@@ -39,9 +42,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import NoReturn, Optional
-
-from .core import GapSet
-from .kunz import kunz_elements
 
 __all__ = [
     "MAX_GENUS",
@@ -107,7 +107,6 @@ class CensusResult:
     count: int
     elapsed: float
     shards: int
-    items: Optional[tuple[GapSet, ...]] = None
 
 
 def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
@@ -314,26 +313,12 @@ def census_coords(query: CensusQuery) -> list[tuple[int, ...]]:
     return coords
 
 
-def count_gapsets(query: CensusQuery, jobs: int = 1, collect: bool = False) -> CensusResult:
+def count_gapsets(query: CensusQuery, jobs: int = 1) -> CensusResult:
     """Exact number of gapsets matching the query: the sum of its
-    `census_histograms` histogram.
-
-    Item collection always runs single-shard so the lexicographic order
-    survives.
-    """
+    `census_histograms` histogram."""
     t0 = time.perf_counter()
-    if collect:
-        items = tuple(map(_as_gapset, census_coords(query)))
-        return CensusResult(len(items), time.perf_counter() - t0, 1, items)
     total = sum(census_histograms(query, jobs)[query.genus].values())
     return CensusResult(total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
-
-
-def _as_gapset(coords: tuple[int, ...]) -> GapSet:
-    if not coords:
-        return GapSet((), 0, 1, 0, 0)  # the empty gapset: multiplicity 1, depth 0
-    elements = kunz_elements(coords)
-    return GapSet(elements, len(elements), len(coords) + 1, elements[-1] + 1, max(coords))
 
 
 def count_gapsets_depth_at_most(g: int, k: int) -> int:

@@ -42,7 +42,7 @@ from .formulas import (
     upper_bound_ng,
     upper_bound_ng_closedN,
 )
-from .kunz import KunzVector, from_kunz, kunz_system_violation, pseudo_apery, pseudo_kunz
+from .kunz import KunzVector, from_kunz, kunz_elements, kunz_system_violation, pseudo_apery, pseudo_kunz
 from .sequences import fibonacci, fibonacci_k, padovan, padovan_fibonacci_convolution
 from .tilings import format_composition
 
@@ -166,10 +166,10 @@ class CountCache:
         self.unsaved: dict[tuple, int] = {}
 
     def _load(self) -> tuple[dict[tuple, int], dict[tuple, int]]:
-        """The file's entries, and apart from them its records with a field
-        that is neither an int nor null; none if the file is missing,
-        unreadable or without the header.  A line that does not parse, or a
-        record without the fields or the count, is skipped."""
+        """The file's entries, and apart from them its records with a query
+        field neither an int nor null, or a count not an int; none if the file
+        is missing, unreadable or without the header.  A line that does not
+        parse, or a record without the fields or the count, is skipped."""
         try:
             data = self.path.read_bytes()
         except OSError:
@@ -189,12 +189,12 @@ class CountCache:
         entries, rejected = {}, {}
         for rec in records:
             try:
-                key, count = _record_key(rec), int(rec["count"])
-            except (KeyError, TypeError, ValueError):
+                key, count = _record_key(rec), rec["count"]
+            except (KeyError, TypeError):
                 continue
             genus, depth, max_depth, mult = key
-            # 8.0 and true equal 8 and 1: such a record would answer a query it is not
-            ints = type(genus) is int and (depth is None or type(depth) is int)
+            # 8.0 and true equal 8 and 1: a record with either would answer a query, or give a count, not its own
+            ints = type(genus) is int and (depth is None or type(depth) is int) and type(count) is int
             if ints and (max_depth is None or type(max_depth) is int) and (mult is None or type(mult) is int):
                 entries[key] = count
                 rejected.pop(key, None)
@@ -250,7 +250,9 @@ class CountCache:
         _guard("genus", gmax, GMAX_GUARD, force)
         hists = census_histograms(CensusQuery(gmax), jobs, low=0)
         for label, query, cached in checks:
-            if (fresh := query.count_in(hists[query.genus])) != cached:
+            if type(cached) is not int:  # true would pass for 1
+                problems.append(f"{label}: count {cached!r} is not an int")
+            elif (fresh := query.count_in(hists[query.genus])) != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
         return problems
 
@@ -437,11 +439,12 @@ def _gapset_lines(coords: Sequence[tuple[int, ...]], genus: int) -> list[str]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     query = _census_query(args)
+    coords = census_coords(query)
     if args.format == "json":  # a GapSet's fields, in order, are the keys of its JSON record
-        items = count_gapsets(query, collect=True).items
-        emit("json", {"count": len(items), "items": [vars(item) for item in items]}, [])
+        items = [vars(GapSet(e, *invariants(e))) for e in map(kunz_elements, coords)]
+        emit("json", {"count": len(items), "items": items}, [])
     else:
-        emit("plain", {}, _gapset_lines(census_coords(query), query.genus))
+        emit("plain", {}, _gapset_lines(coords, query.genus))
     return EXIT_OK
 
 

@@ -67,29 +67,16 @@ def _part_bound(g: int, max_part: Optional[int]) -> int:
     return g if max_part is None or max_part > g else max_part
 
 
-def enumerate_compositions(
-    g: int, max_part: Optional[int] = None, first_part: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """All compositions of g, lexicographic, each part <= max_part if given.
-
-    `first_part` restricts the stream to compositions starting with that
-    value; the sub-streams over all first parts partition the full stream,
-    which is what makes sharded counting possible.
-    """
-    k = _part_bound(g, max_part)
-    if first_part is None:
-        yield from _compositions(g, 1, k)
-    elif 1 <= first_part <= k:
-        for rest in _compositions(g - first_part, 1, k):
-            yield (first_part,) + rest
+def enumerate_compositions(g: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """All compositions of g, lexicographic, each part <= max_part if given."""
+    yield from _compositions(g, 1, _part_bound(g, max_part))
 
 
-def count_compositions(
-    g: int, max_part: Optional[int] = None, first_part: Optional[int] = None
-) -> int:
-    """Stream length of `enumerate_compositions`, walked without building
-    tuples: the stack holds board lengths still to tile, and a length that
-    fits in one part is counted as a composition ending there."""
+def count_compositions(g: int, max_part: Optional[int] = None, first_part: Optional[int] = None) -> int:
+    """Number of compositions of g, each part <= max_part if given, that
+    start with `first_part` if given.  Walked without building tuples: the
+    stack holds board lengths still to tile, and a length that fits in one
+    part is counted as a composition ending there."""
     k = _part_bound(g, max_part)
     if first_part is not None and not 1 <= first_part <= k:
         return 0

@@ -7,13 +7,14 @@ import pytest
 
 from gapsets.census import (
     CensusQuery,
+    census_coords,
     census_histograms,
     count_gapsets,
     count_gapsets_depth_at_most,
 )
 from gapsets.core import classify_gapset, GapSet
 from gapsets.formulas import lower_bound_depth3
-from gapsets.kunz import KunzVector, coords_violation, from_kunz, satisfies_kunz_system
+from gapsets.kunz import coords_violation, kunz_elements, satisfies_kunz_system
 from gapsets.sequences import fibonacci, fibonacci_k, padovan
 from gapsets.tilings import enumerate_compositions, enumerate_depth3_family
 
@@ -276,32 +277,31 @@ def test_a_failing_parent_kills_and_reaps_every_child(failing_census, error):
 
 
 def test_collect_matches_count_and_order():
-    # every item, each field, independently verified by the definitional check
+    # every gapset built from its coordinates, each field, independently verified by the definitional check
     for g in range(13):
-        res = count_gapsets(q(g), collect=True)
-        assert res.count == len(res.items) == NG[g]
-        for item in res.items:
-            assert classify_gapset(item.elements) == item
-    res0 = count_gapsets(q(0), collect=True)
-    assert res0.items == (GapSet((), 0, 1, 0, 0),)
-    # under every filter, the items are the brute-force filtered walk in its order
+        coords = census_coords(q(g))
+        assert len(coords) == NG[g]
+        for k in coords:
+            item = classify_gapset(kunz_elements(k))
+            assert isinstance(item, GapSet) and item.genus == g
+            assert (item.multiplicity, item.depth) == (len(k) + 1, max(k, default=0))
+    assert census_coords(q(0)) == [()] and classify_gapset(kunz_elements(())) == GapSet((), 0, 1, 0, 0)
+    # under every filter, the coordinates are the brute-force filtered walk in its order
     for g in range(1, 13):
         walk = [c for c in enumerate_compositions(g) if coords_violation(c) is None]
-        sets = {c: from_kunz(KunzVector(len(c) + 1, c)).elements for c in walk}
         depth_filters = [(None, None)] + [(k, None) for k in range(0, g + 1)] + [
             (None, k) for k in range(0, g + 1)
         ]
         for depth, max_depth in depth_filters:
             for mult in [None] + list(range(2, g + 2)):
                 want = [
-                    sets[c]
+                    c
                     for c in walk
                     if (depth is None or max(c) == depth)
                     and (max_depth is None or max(c) <= max_depth)
                     and (mult is None or len(c) + 1 == mult)
                 ]
-                res = count_gapsets(q(g, depth, max_depth, mult), collect=True)
-                assert [item.elements for item in res.items] == want
+                assert census_coords(q(g, depth, max_depth, mult)) == want
 
 
 def family_size(g):

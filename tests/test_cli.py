@@ -22,9 +22,9 @@ from gapsets.cli import (
     parse_kunz,
     parse_set,
 )
-from gapsets.census import CensusQuery, count_gapsets
+from gapsets.census import CensusQuery, census_coords
 from gapsets.core import GapSet, classify_gapset
-from gapsets.kunz import KunzVector, from_kunz
+from gapsets.kunz import KunzVector, from_kunz, kunz_elements
 
 
 def run(capsys, *argv):
@@ -147,32 +147,49 @@ def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 3
     assert out.splitlines() == ["genus=5.0 depth=None max_depth=None mult=None: not a census query"]
+    # a count that is not an int rejects its record too, though int() of each is the census count
+    write_cache(cache_path, [{**entries[2], "genus": g, "count": n} for g, n in ((6, 23.9), (7, "39"), (1, True))])
+    code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert code == 3
+    assert out.splitlines() == [
+        "genus=6 depth=None max_depth=None mult=None: count 23.9 is not an int",
+        "genus=7 depth=None max_depth=None mult=None: count '39' is not an int",
+        "genus=1 depth=None max_depth=None mult=None: count True is not an int",
+    ]
 
 
 def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
     floats = {"genus": 8.0, "depth": None, "max_depth": None, "mult": None, "count": 1}
     bools = {"genus": 8, "depth": None, "max_depth": True, "mult": None, "count": 5}
-    write_cache(cache_path, [floats, bools])
+    counts = [{**floats, "genus": g, "count": n} for g, n in ((6, 23.9), (7, "39"), (1, True))]
+    write_cache(cache_path, [floats, bools, *counts])
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 3 and out.splitlines() == [
         "genus=8.0 depth=None max_depth=None mult=None: not a census query",
         "genus=8 depth=None max_depth=True mult=None: not a census query",
+        "genus=6 depth=None max_depth=None mult=None: count 23.9 is not an int",
+        "genus=7 depth=None max_depth=None mult=None: count '39' is not an int",
+        "genus=1 depth=None max_depth=None mult=None: count True is not an int",
     ]
-    # 8.0 and true hash as 8 and 1, yet each count is recomputed, not served
-    for flags, count in ((), 67), (("--max-depth", "1"), 1):
-        code, out, _ = run(capsys, "count", "--genus", "8", *flags, "--cache", str(cache_path), "--format", "json")
+    # 8.0 and true hash as 8 and 1, and int() reads 23.9, "39" and true as 23, 39 and 1 (each
+    # the census count), yet each count is recomputed, not served
+    asks = [(["8"], 67), (["8", "--max-depth", "1"], 1), (["6"], 23), (["7"], 39), (["1"], 1)]
+    for flags, count in asks:
+        code, out, _ = run(capsys, "count", "--genus", *flags, "--cache", str(cache_path), "--format", "json")
         assert code == 0 and (json.loads(out)["count"], json.loads(out)["cached"]) == (count, False)
     # and the saves appended clean records, which supersede the rejected ones
     assert read_cache(cache_path) == [
         floats,
         bools,
+        *counts,
         {**floats, "genus": 8, "count": 67},
         {**bools, "max_depth": 1, "count": 1},
+        *({**rec, "count": int(rec["count"])} for rec in counts),
     ]
     assert CountCache(cache_path).rejected == {}
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
-    assert (code, out) == (0, "cache ok: 2 entries verified\n")
+    assert (code, out) == (0, "cache ok: 5 entries verified\n")
 
 
 def test_cache_later_record_supersedes(tmp_path):
@@ -408,13 +425,20 @@ def query_flags(query):
 
 
 def test_enumerate_lines_match_the_definitional_path(capsys):
-    # the plain listing, read row by row off the coordinates, against each GapSet's sorted elements
+    # the plain listing, read row by row off the coordinates, against each gapset's sorted elements;
+    # each JSON record against the definitional check of its elements
     queries = list(enumerate_queries())
     assert len(queries) == 1313
     for query in queries:
-        items = count_gapsets(query, collect=True).items
-        expected = "".join((format_set(item.elements) or "(empty)") + "\n" for item in items)
+        sets = [kunz_elements(k) for k in census_coords(query)]
+        expected = "".join((format_set(elements) or "(empty)") + "\n" for elements in sets)
         assert run(capsys, "enumerate", *query_flags(query)) == (0, expected, ""), query
+        code, out, err = run(capsys, "enumerate", *query_flags(query), "--format", "json")
+        doc = json.loads(out)
+        assert (code, err, doc["count"]) == (0, "", len(sets)), query
+        assert [tuple(item["elements"]) for item in doc["items"]] == sets, query
+        for item in doc["items"]:
+            assert {**item, "elements": tuple(item["elements"])} == vars(classify_gapset(item["elements"])), query
 
 
 def test_cli_import_loads_no_process_pool():

@@ -63,6 +63,8 @@ COMMANDS = [
     "enumerate --genus 12",
     "enumerate --genus 0",
     "enumerate --genus 13 --depth 5",
+    "enumerate --genus 0 --format json",
+    "enumerate --genus 9 --depth 5 --mult 3 --format json",
 ]
 
 

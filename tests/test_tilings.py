@@ -53,26 +53,15 @@ def test_lexicographic_and_exact():
 def test_count_matches_stream():
     for g in range(1, 13):
         for k in (None, 2, 3, 5):
+            stream = list(enumerate_compositions(g, k))
             for v in [None] + list(range(-1, g + 3)):  # every first part, in range or not
-                assert count_compositions(g, k, v) == sum(1 for _ in enumerate_compositions(g, k, v))
+                assert count_compositions(g, k, v) == sum(1 for c in stream if v is None or c[0] == v)
 
 
 def test_restricted_count_is_k_step_fibonacci():
     for g in range(1, 16):
         for k in range(2, g + 1):
             assert count_compositions(g, k) == fibonacci_k(k, g + 1)
-
-
-def test_first_part_shards_partition_the_stream():
-    for g in (6, 9, 12):
-        for k in (None, 3):
-            full = list(enumerate_compositions(g, k))
-            shards = []
-            bound = g if k is None else k
-            for v in range(1, bound + 1):
-                shards.extend(enumerate_compositions(g, k, first_part=v))
-            assert sorted(shards) == sorted(full)
-            assert all(c[0] == v for v in range(1, bound + 1) for c in enumerate_compositions(g, k, first_part=v))
 
 
 def test_fixed_parts():
@@ -86,7 +75,7 @@ def test_fixed_parts():
 def test_streams_past_the_recursion_limit():
     g = 3000  # deeper than CPython's default recursion limit
     assert list(compositions_fixed_parts(g, g)) == [(1,) * g]
-    assert next(enumerate_compositions(g, first_part=2)) == (2,) + (1,) * (g - 2)
+    assert next(enumerate_compositions(g)) == (1,) * g
 
 
 def test_sigma_worked_examples():
