@@ -11,10 +11,11 @@ depth, modulus), as the search reaches it; the running depth is passed
 down, not recomputed.  A cap of 1 or 2 skips the scan of the pairs (each
 sums to 2 or more), and a node one genus short has its only child,
 k_m = 1, counted in place.  A depth filter caps every coordinate, and one
-window bounds their number: a multiplicity m fixes it at m - 1, and an
-exact depth q >= 2 caps it, since the conductor is at most 2g, so depth
-<= ceil(2g/m).  An exact depth q also cuts every branch still below q with
-less than q of the genus left.  Two entry points run it: `census_histograms`
+window bounds their number.  The conductor is at most 2g, so depth <=
+ceil(2g/m): a multiplicity m fixes the window at m - 1 and caps every
+coordinate at ceil(2G/m), and an exact depth q >= 2 caps the window.  An
+exact depth q also cuts every branch still below q with less than q of
+the genus left.  Two entry points run it: `census_histograms`
 returns the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
 selects, one per genus, and `census_coords` their Kunz coordinates, one
 tuple each.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.  The
@@ -111,13 +112,16 @@ class CensusResult:
 
 def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
     """The search's coordinate cap (the depth bound, else the genus) and
-    part-count window (pmin, pmax).  A multiplicity m fixes it at m - 1; an
-    exact depth q >= 2 caps it, since a conductor is at most 2g, so depth
-    <= ceil(2g/m) and m <= ceil(2G/(q - 1)) - 1 at every genus up to G.
-    With both, pmin > pmax when the depth rules m out: nothing is searched."""
+    part-count window (pmin, pmax).  A conductor is at most 2g, so depth
+    <= ceil(2g/m) at every genus g up to G.  A multiplicity m fixes the
+    window at m - 1 and caps every coordinate at ceil(2G/m); an exact depth
+    q >= 2 caps the window, since m <= ceil(2G/(q - 1)) - 1.  With both,
+    pmin > pmax when the depth rules m out: nothing is searched."""
     bound = query.depth if query.depth is not None else query.max_depth
     cap = query.genus if bound is None else bound
     pmin, pmax = (1, query.genus) if query.mult is None else (query.mult - 1, query.mult - 1)
+    if query.mult is not None:
+        cap = min(cap, -(-2 * query.genus // query.mult))
     if (query.depth or 0) >= 2:
         pmax = min(pmax, -(-2 * query.genus // (query.depth - 1)) - 2)
     return cap, pmin, pmax

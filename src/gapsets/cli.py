@@ -20,6 +20,7 @@ import io
 import json
 import operator
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -145,6 +146,60 @@ def parse_bfile(path: Path) -> dict[int, int]:
 # count cache
 
 
+# A cache record's line exactly as `save` writes it: the genus an int, each
+# other query field an int or null, then the count, every int spelled as
+# `json.dumps` spells it (no -0); groups: the record prefix, then the count.
+# A numeral past 19 digits (64 bits) sends the load through the JSON
+# records, which apply `int`'s digit limit.
+_INT = rb"(?:0|-?[1-9][0-9]{0,18})"
+_RECORD = re.compile(
+    rb'^(\{"genus": %s, ' % _INT
+    + b"".join(b'"%s": (?:null|%s), ' % (f.encode(), _INT) for f in QUERY_FIELDS[1:])
+    + rb'"count": )(%s)\}$' % _INT,
+    re.MULTILINE,
+)
+
+
+def _record_prefix(key: tuple) -> bytes:
+    """A query's cache record up to its count: `json.dumps` of its fields
+    and `count`, cut before the count's value."""
+    return (json.dumps(dict(zip(QUERY_FIELDS, key)))[:-1] + ', "count": ').encode()
+
+
+def _json_records(body: bytes) -> tuple[dict[tuple, int], dict[tuple, object]]:
+    """The cache lines' records by query: those with every query field an
+    int or null and an int count, and apart from them the others.  A line
+    that does not parse, a record without the fields or the count, and a
+    record with a list or object field (it can equal no query) are skipped."""
+    body = body.rstrip(b"\n")
+    try:  # one parse of every line at once
+        records = json.loads(b"[" + body.replace(b"\n", b",") + b"]")
+    except ValueError:  # a torn or foreign line: parse the others one by one
+        records = []
+        for line in body.splitlines():
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                pass
+    entries, rejected = {}, {}
+    for rec in records:
+        try:
+            key, count = _record_key(rec), rec["count"]
+            hash(key)
+        except (KeyError, TypeError):
+            continue
+        genus, depth, max_depth, mult = key
+        # 8.0 and true equal 8 and 1: a record with either would answer a query, or give a count, not its own
+        ints = type(genus) is int and (depth is None or type(depth) is int) and type(count) is int
+        if ints and (max_depth is None or type(max_depth) is int) and (mult is None or type(mult) is int):
+            entries[key] = count
+            rejected.pop(key, None)
+        else:
+            rejected[key] = count
+            entries.pop(key, None)
+    return entries, rejected
+
+
 class CountCache:
     """Append-only JSON Lines cache of census counts.
 
@@ -156,66 +211,71 @@ class CountCache:
     appends the records put since the load in one write, under an exclusive
     lock on `<path>.lock`: a concurrent writer loses nothing, and a crash
     mid-write leaves at most a torn last line, which readers skip.
+
+    A lookup goes through `index`, which maps a query's record prefix (its
+    record up to the count, as `save` spells it) to the count.  When every
+    line is spelled as `save` spells it, one regular expression builds the
+    index with no JSON parse; any other line sends the load through the
+    JSON records, as `entries` and `rejected` read them.
     """
 
     HEADER = b'{"schema_version": 3}\n'
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.entries, self.rejected = self._load()
-        self.unsaved: dict[tuple, int] = {}
+        self.body, self.index = self._load()
+        self.puts: dict[tuple, int] = {}  # every put since the load
+        self.unsaved: dict[tuple, int] = {}  # the puts since the load or the last save
 
-    def _load(self) -> tuple[dict[tuple, int], dict[tuple, int]]:
-        """The file's entries, and apart from them its records with a query
-        field neither an int nor null, or a count not an int; none if the file
-        is missing, unreadable or without the header.  A line that does not
-        parse, or a record without the fields or the count, is skipped."""
+    def _load(self) -> tuple[bytes, dict[bytes, bytes | int]]:
+        """The file's lines after the header, and their index; neither if the
+        file is missing, unreadable or without the header."""
         try:
             data = self.path.read_bytes()
         except OSError:
-            return {}, {}
+            return b"", {}
         if not data.startswith(self.HEADER):
-            return {}, {}
-        body = data[len(self.HEADER) :].rstrip(b"\n")
-        try:  # one parse of every line at once
-            records = json.loads(b"[" + body.replace(b"\n", b",") + b"]")
-        except ValueError:  # a torn or foreign line: parse the others one by one
-            records = []
-            for line in body.splitlines():
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    pass
-        entries, rejected = {}, {}
-        for rec in records:
-            try:
-                key, count = _record_key(rec), rec["count"]
-            except (KeyError, TypeError):
-                continue
-            genus, depth, max_depth, mult = key
-            # 8.0 and true equal 8 and 1: a record with either would answer a query, or give a count, not its own
-            ints = type(genus) is int and (depth is None or type(depth) is int) and type(count) is int
-            if ints and (max_depth is None or type(max_depth) is int) and (mult is None or type(mult) is int):
-                entries[key] = count
-                rejected.pop(key, None)
-            else:
-                rejected[key] = count
-                entries.pop(key, None)
+            return b"", {}
+        body = data[len(self.HEADER) :]
+        if body.endswith(b"\n") or not body:
+            pairs = _RECORD.findall(body)
+            if len(pairs) == body.count(b"\n"):  # every line is a record as `save` spells it
+                return body, dict(pairs)  # the later record of a query wins
+        entries, _ = _json_records(body)
+        return body, {_record_prefix(key): count for key, count in entries.items()}
+
+    @property
+    def entries(self) -> dict[tuple, int]:
+        """Each query's count: its last record's, or its last put's."""
+        return self._records()[0]
+
+    @property
+    def rejected(self) -> dict[tuple, object]:
+        """The records with a query field neither an int nor null, or a count
+        not an int, by their fields, unless a put or a later record of the
+        query replaced them."""
+        return self._records()[1]
+
+    def _records(self) -> tuple[dict[tuple, int], dict[tuple, object]]:
+        entries, rejected = _json_records(self.body)
+        for key, count in self.puts.items():
+            entries[key] = count
+            rejected.pop(key, None)
         return entries, rejected
 
     def get(self, query: CensusQuery) -> Optional[int]:
-        return self.entries.get(query_key(query))
+        count = self.index.get(_record_prefix(query_key(query)))
+        return None if count is None else int(count)
 
     def put(self, query: CensusQuery, count: int) -> None:
         key = query_key(query)
-        self.entries[key] = self.unsaved[key] = count
+        self.index[_record_prefix(key)] = self.puts[key] = self.unsaved[key] = count
 
     def save(self) -> None:
         """Append the records put since the load or the last save."""
         if not self.unsaved:
             return
-        records = (json.dumps(dict(zip(QUERY_FIELDS, key), count=n)) + "\n" for key, n in self.unsaved.items())
-        data = "".join(records).encode()
+        data = b"".join(_record_prefix(key) + b"%d}\n" % n for key, n in self.unsaved.items())
         with open(f"{self.path}.lock", "a") as lock:
             if fcntl is not None:  # without it the append goes unlocked
                 fcntl.flock(lock, fcntl.LOCK_EX)
@@ -240,7 +300,8 @@ class CountCache:
         largest cached genus, which must pass the guard; returns mismatch
         descriptions, the rejected records first."""
         problems, checks = [], []
-        for key, cached in [*self.rejected.items(), *self.entries.items()]:
+        entries, rejected = self._records()
+        for key, cached in [*rejected.items(), *entries.items()]:
             label = " ".join(f"{f}={v}" for f, v in zip(QUERY_FIELDS, key))
             try:
                 checks.append((label, CensusQuery(*key), cached))
@@ -668,9 +729,15 @@ def at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: `main` may run many times in one."""
+    """The top-level argument parser."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser by name, built
+    once per process: `main` may run many times in one."""
     parser = argparse.ArgumentParser(prog="gapsets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -747,12 +814,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bfile", default=None, help="path; defaults to the bundled A007323 fixture")
     p.add_argument("--gmax", type=at_least(0), default=18)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
     try:
-        args = build_parser().parse_args(argv)
+        # a command's own parser reads its flags: the top-level one would
+        # classify every argument, then hand them all to it to classify again
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:  # no command, -h or an unknown one: the top-level parser says so
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

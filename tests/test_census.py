@@ -349,6 +349,15 @@ def test_filtered_histogram_is_the_selected_cells():
             assert census_histograms(query)[g] == want, query
 
 
+def test_mult_histograms_are_the_selected_cells():
+    # a multiplicity m caps every coordinate at ceil(2G/m), the depth bound at genus G
+    full = census_histograms(q(18), low=0)
+    for G in range(0, 19):
+        for m in range(2, G + 2):
+            for g, hist in census_histograms(q(G, mult=m), low=0).items():
+                assert hist == Counter({(d, k): n for (d, k), n in full[g].items() if k == m}), (G, m, g)
+
+
 def semigroup_tree_histograms(gmax):
     """(depth, multiplicity) histograms by genus from the tree of numerical
     semigroups: a node's children remove one of its minimal generators

@@ -45,6 +45,16 @@ def read_cache(path):
     return [json.loads(line) for line in lines]
 
 
+def read_lines(path):
+    """The lines of a schema-3 count cache after its header, without their newlines."""
+    return path.read_bytes()[len(CountCache.HEADER) :].splitlines()
+
+
+def canonical(genus, count, **fields):
+    """A cache record's line as `save` spells it, when every value is an int or None."""
+    return json.dumps({"genus": genus, "depth": None, "max_depth": None, "mult": None, **fields, "count": count})
+
+
 def test_parse_helpers():
     assert parse_set("1,2,4,7,10") == (1, 2, 4, 7, 10)
     assert parse_set("") == ()
@@ -200,6 +210,117 @@ def test_cache_later_record_supersedes(tmp_path):
     cache = CountCache(cache_path)
     assert cache.entries == {(8, None, 3, None): 62}
     assert cache.rejected == {(8, None, None, None): 67}
+
+
+def test_cache_skips_list_and_object_fields(tmp_path, capsys):
+    # such a record can equal no query: it is skipped as foreign, not rejected
+    cache_path = tmp_path / "cache.json"
+    record = {"genus": 7, "depth": None, "max_depth": None, "mult": None, "count": 39}
+    write_cache(cache_path, [{**record, "genus": [8]}, {**record, "mult": {"m": 3}}, record])
+    code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path), "--format", "json")
+    assert (code, err) == (0, "") and (json.loads(out)["count"], json.loads(out)["cached"]) == (67, False)
+    code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert (code, out, err) == (0, "cache ok: 2 entries verified\n", "")
+
+
+# Every query shape a key can take: the genus an int, the other fields an int or null.
+GRID_QUERIES = [
+    CensusQuery(g, depth, max_depth, mult)
+    for g in (0, 9, 63)
+    for depth, max_depth in ((None, None), (0, None), (None, 0), (12, None), (None, 15))
+    for mult in (None, 2, 13)
+]
+
+
+def test_saved_records_take_the_fast_path(tmp_path, monkeypatch):
+    cache_path = tmp_path / "cache.json"
+    cache = CountCache(cache_path)
+    counts = [0, 7, 2**63 - 1] * len(GRID_QUERIES)  # 2**63 - 1 has 19 digits, the most the fast path reads
+    for query, count in zip(GRID_QUERIES, counts):
+        cache.put(query, count)
+    cache.save()
+    for line, query, count in zip(read_lines(cache_path), GRID_QUERIES, counts):
+        assert cli._RECORD.fullmatch(line), line
+        assert json.loads(line) == {**dict(zip(cli.QUERY_FIELDS, cli.query_key(query))), "count": count}
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("json.loads called")
+
+    monkeypatch.setattr(cli.json, "loads", boom)
+    fresh = CountCache(cache_path)
+    assert [fresh.get(query) for query in GRID_QUERIES] == counts[: len(GRID_QUERIES)]
+
+
+# A line of each kind `save` never writes, each about a query that canonical lines also answer.
+FOREIGN_LINES = [
+    canonical(8, 60)[:30],  # torn
+    json.dumps({"count": 61, "genus": 8, "depth": None, "max_depth": None, "mult": None}),  # key order
+    json.dumps({"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 62}, separators=(",", ":")),
+    canonical(8.0, 63),
+    canonical(8, 64, max_depth=True),
+    canonical("8", 65),
+    canonical(8, 23.9),
+    canonical(8, "67"),
+    canonical(8, 66, depth=0).replace('"depth": 0', '"depth": -0'),  # json.loads reads -0 as 0
+    canonical(8, 66).replace('"genus": 8', '"genus": 08'),  # not JSON
+    canonical(8, 0).replace('"count": 0', '"count": 1' + "0" * 4300),  # past int's digit limit: skipped
+    canonical(9, 117, max_depth=[3]),
+    "[8, null, null, null, 67]",
+    " " + canonical(7, 38),
+    canonical(7, 37) + " ",
+    "",
+]
+
+
+def test_fast_path_answers_as_the_json_path(tmp_path, monkeypatch):
+    import random
+
+    rng = random.Random(20261019)
+    keys = [(8, {}), (8, {"depth": 0}), (8, {"max_depth": 3}), (7, {}), (9, {"max_depth": 3}), (9, {"mult": 4})]
+    queries = [CensusQuery(g, **fields) for g, fields in keys] + [CensusQuery(10), CensusQuery(8, mult=3)]
+    loads, real_loads = [], json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: loads.append(text) or real_loads(text))
+    cache_path = tmp_path / "cache.json"
+    for trial in range(300):
+        lines = [canonical(g, rng.randrange(200), **fields) for g, fields in rng.choices(keys, k=rng.randrange(8))]
+        foreign = trial % (len(FOREIGN_LINES) + 1)  # every other trial's lines are all canonical
+        if foreign < len(FOREIGN_LINES):
+            lines.insert(rng.randrange(len(lines) + 1), FOREIGN_LINES[foreign])
+        body = "".join(line + "\n" for line in lines)
+        if foreign == 0 and rng.random() < 0.5:  # a torn last line has no newline
+            body = body[:-1]
+        cache_path.write_bytes(CountCache.HEADER + body.encode())
+        loads.clear()
+        cache = CountCache(cache_path)
+        assert bool(loads) == (foreign < len(FOREIGN_LINES)), lines  # a JSON parse exactly when a line is foreign
+        entries = cache.entries
+        for query in queries:
+            assert cache.get(query) == entries.get(cli.query_key(query)), (lines, query)
+
+
+def test_cache_hit_parses_no_json(tmp_path, capsys, monkeypatch):
+    cache_path = tmp_path / "cache.json"
+    for flags in (["8"], ["9", "--max-depth", "3"], ["8"]):
+        run(capsys, "count", "--genus", *flags, "--cache", str(cache_path))
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("json.loads called")
+
+    monkeypatch.setattr(cli.json, "loads", boom)
+    code, out, err = run(capsys, "count", "--genus", "9", "--max-depth", "3", "--cache", str(cache_path))
+    assert (code, out, err) == (0, "99\n", "")
+
+
+def test_cache_put_is_visible_before_and_after_save(tmp_path):
+    cache_path = tmp_path / "cache.json"
+    for lines in ([canonical(8, 1)], [canonical(8, 1), canonical(8.0, 2)]):  # the fast path, then the JSON one
+        cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
+        cache = CountCache(cache_path)
+        cache.put(CensusQuery(8), 67)
+        assert (cache.get(CensusQuery(8)), cache.entries, cache.rejected) == (67, {(8, None, None, None): 67}, {})
+        cache.save()
+        assert (cache.get(CensusQuery(8)), cache.entries, cache.rejected) == (67, {(8, None, None, None): 67}, {})
+        assert CountCache(cache_path).get(CensusQuery(8)) == 67
 
 
 def test_cache_concurrent_writers_keep_both_entries(tmp_path):
@@ -601,6 +722,24 @@ def test_oeis_index_is_the_genus(capsys):
 def test_usage_error_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["count", "--bogus"], 2, "err", "usage: gapsets count"),
+        (["count", "--bogus"], 2, "err", "error: unrecognized arguments: --bogus"),
+        (["frobnicate"], 2, "err", "error: argument command: invalid choice: 'frobnicate'"),
+        ([], 2, "err", "error: the following arguments are required: command"),
+        (["-h"], 0, "out", "usage: gapsets [-h]"),
+        (["count", "-h"], 0, "out", "usage: gapsets count [-h]"),
+    ],
+)
+def test_dispatch(capsys, argv, code, stream, text):
+    # a known command's own parser reads its flags; anything else goes through the top-level one
+    got, out, err = run(capsys, *argv)
+    assert got == code and text in {"out": out, "err": err}[stream]
+    assert (out if stream == "err" else err) == ""
 
 
 @pytest.mark.parametrize(
