@@ -6,12 +6,15 @@ equal to its coordinate sum, so the search up to genus G passes through
 every lower genus too.  Coordinates are capped by k_(i+j) <= k_i + k_j
 (i + j < m), which binds on every prefix; the wrap-around pairs (i + j > m)
 are checked at the nodes counted, and only at depth 4 or more, the only
-depths where one can fail.  Each node is counted in place, by (genus,
-depth, modulus), as the search reaches it; the running depth is passed
-down, not recomputed.  A cap of 1 or 2 skips the scan of the pairs (each
-sums to 2 or more), and a node one genus short has its only child,
-k_m = 1, counted in place.  A depth filter caps every coordinate, and one
-window bounds their number.  The conductor is at most 2g, so depth <=
+depths where one can fail.  Each node is counted in place, as the search
+reaches it, into one flat list of ints indexed by (genus, depth,
+modulus); the running depth is passed down, not recomputed.  A cap of 1
+or 2 skips the scan of the pairs (each sums to 2 or more).  The search's
+last two levels get no call of their own: a node one genus short has its
+only child, k_m = 1, counted in place, and so does a node two genus short
+(inside the window, with a cap of 2 or more) its children k_m = 1, that
+one's only child, and k_m = 2.  A depth filter caps every coordinate, and
+one window bounds their number.  The conductor is at most 2g, so depth <=
 ceil(2g/m): a multiplicity m fixes the window at m - 1 and caps every
 coordinate at ceil(2G/m), and an exact depth q >= 2 caps the window.  An
 exact depth q also cuts every branch still below q with less than q of
@@ -26,8 +29,9 @@ the package: a caller that wants the sets builds them with
 A sharded census splits the search by its first coordinate k_1.  The
 calling process and up to jobs - 1 forked children take the shards one at
 a time from a single pipe, so the work balances itself; each child sends
-its counts back over a pipe of its own.  No process pool is started, and
-a platform without `os.fork` counts every shard in the calling process.
+its tally back over a pipe of its own, and the tallies add cell by cell.
+No process pool is started, and a platform without `os.fork` counts
+every shard in the calling process.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -42,6 +46,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import NoReturn, Optional
 
 __all__ = [
@@ -111,14 +116,15 @@ class CensusResult:
 
 
 def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
-    """The search's coordinate cap (the depth bound, else the genus) and
-    part-count window (pmin, pmax).  A conductor is at most 2g, so depth
-    <= ceil(2g/m) at every genus g up to G.  A multiplicity m fixes the
-    window at m - 1 and caps every coordinate at ceil(2G/m); an exact depth
-    q >= 2 caps the window, since m <= ceil(2G/(q - 1)) - 1.  With both,
-    pmin > pmax when the depth rules m out: nothing is searched."""
+    """The search's coordinate cap (the depth bound, else the genus, and
+    never above the genus) and part-count window (pmin, pmax).  A conductor
+    is at most 2g, so depth <= ceil(2g/m) at every genus g up to G.  A
+    multiplicity m fixes the window at m - 1 and caps every coordinate at
+    ceil(2G/m); an exact depth q >= 2 caps the window, since m <=
+    ceil(2G/(q - 1)) - 1.  With both, pmin > pmax when the depth rules m
+    out: nothing is searched."""
     bound = query.depth if query.depth is not None else query.max_depth
-    cap = query.genus if bound is None else bound
+    cap = query.genus if bound is None else min(bound, query.genus)
     pmin, pmax = (1, query.genus) if query.mult is None else (query.mult - 1, query.mult - 1)
     if query.mult is not None:
         cap = min(cap, -(-2 * query.genus // query.mult))
@@ -127,26 +133,44 @@ def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
     return cap, pmin, pmax
 
 
+def _tally_axes(query: CensusQuery) -> tuple[int, int]:
+    """Lengths of the tally's depth and modulus axes.  Every coordinate is
+    at most the cap, and every modulus at most pmax + 1, or 2: the root
+    places k_1 even when the depth rules every multiplicity out."""
+    cap, _, pmax = _search_bounds(query)
+    return cap + 1, max(pmax, 1) + 2
+
+
 def _census(
     query: CensusQuery, low: int, first: Optional[int] = None, items: Optional[list] = None
-) -> Counter:
+) -> list[int]:
     """Gapsets by (genus, depth, modulus) for each genus from `low` up to
-    the query's; only the cells the query selects are complete.  `items`
-    (if given) receives the coordinates (k_1, ..., k_(m-1)) of each selected
-    gapset, in the lexicographic order of the composition walk.
+    the query's, as one flat list: cell (g, q, m) is at index ((g - low) *
+    depths + q) * moduli + m, with the axis lengths of `_tally_axes`; only
+    the cells the query selects are complete.  `items` (if given) receives
+    the coordinates (k_1, ..., k_(m-1)) of each selected gapset, in the
+    lexicographic order of the composition walk.
 
     Every coordinate is at most the cap; a node counts with pmin to pmax
     parts and grows below pmax; `first` (if set) fixes k_1, and shard 1
     also owns the empty gapset.  Position p is capped by k_i + k_(p-i)
     whatever the final length (scanned for caps of 3 or more); only nodes
     of genus `low` or more pay the wrap-around check.  A node of genus
-    G - 1 gets no call: its one child, k_m = 1, is counted in place.
+    G - 1 gets no call: its one child, k_m = 1, is counted in place.  Nor
+    does a node of genus G - 2 inside the window with a cap of 2 or more:
+    its children k_m = 1 (with that one's only child, k_(m+1) = 1) and
+    k_m = 2 are counted in place, in walk order.
     """
     genus = query.genus
     cap, pmin, pmax = _search_bounds(query)
+    depths, moduli = _tally_axes(query)
+    plane = depths * moduli  # the cells of one genus
+    base = low * plane  # cell (h, q, m) is tally[m - base + h * plane + q * moduli]
+    child = genus * plane + 1  # ... and cell (G, q, m + 1) tally[m - base + child + q * moduli]
     exact = query.depth or 0
     reach = genus - exact  # a node still below the exact depth q grows only up to genus G - q
-    hist: Counter = Counter()
+    short = genus - 2  # a node of this genus has its children counted in place where it can
+    tally = [0] * ((genus - low + 1) * plane)
     k = [0] * (genus + 2)  # k[i] is the coordinate of residue i; k[1:m] the node's
 
     def wraps(m: int) -> bool:
@@ -174,30 +198,51 @@ def _census(
             lo, hi = max(lo, first), min(hi, first)
         counted = low if p >= pmin else genus + 1  # nodes placed here count from this genus
         growing = genus if p < pmax else 0  # ... and have children below this one
+        at = m - base
         for v in range(lo, hi + 1):
             k[p] = v
             h = g + v
             dv = v if v > d else d
             if h >= counted and (dv <= 3 or wraps(m)):
-                hist[h, dv, m] += 1
+                tally[at + h * plane + dv * moduli] += 1
                 if items is not None and query.selects(dv, m):
                     items.append(tuple(k[1:m]))
             if h < growing and (dv >= exact or h <= reach):
-                if h < genus - 1:
+                if h < short:
                     grow(m, h, dv)
-                else:  # its only child, k_m = 1, counted in place (the hi cut keeps m >= pmin)
+                elif h > short:  # its only child, k_m = 1, counted in place (the hi cut keeps m >= pmin)
                     k[m] = 1
                     if dv <= 3 or wraps(m + 1):
-                        hist[genus, dv, m + 1] += 1
+                        tally[at + child + dv * moduli] += 1
                         if items is not None and query.selects(dv, m + 1):
                             items.append(tuple(k[1 : m + 1]))
+                elif cap > 1 and pmin <= m < pmax:  # k_m = 1, its only child k_(m+1) = 1, then k_m = 2
+                    cell = at + child + dv * moduli  # (G, dv, m + 1); every pair allows a 1 or a 2
+                    k[m] = 1
+                    if low < genus and (dv <= 3 or wraps(m + 1)):
+                        tally[cell - plane] += 1
+                        if items is not None and query.selects(dv, m + 1):
+                            items.append(tuple(k[1 : m + 1]))
+                    k[m + 1] = 1  # below an exact depth q, a cell the query does not select: no cut needed
+                    if dv <= 3 or wraps(m + 2):
+                        tally[cell + 1] += 1
+                        if items is not None and query.selects(dv, m + 2):
+                            items.append(tuple(k[1 : m + 2]))
+                    k[m] = 2
+                    dv = dv if dv > 2 else 2
+                    if dv <= 3 or wraps(m + 1):
+                        tally[at + child + dv * moduli] += 1
+                        if items is not None and query.selects(dv, m + 1):
+                            items.append(tuple(k[1 : m + 1]))
+                else:
+                    grow(m, h, dv)
 
     if low == 0 and first in (None, 1):  # under any filter: the histograms filter its cell (0, 0, 1)
-        hist[0, 0, 1] += 1
+        tally[1] += 1
         if items is not None and query.selects(0, 1):
             items.append(())
     grow(1, 0, 0)
-    return hist
+    return tally
 
 
 def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
@@ -208,27 +253,28 @@ def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     return firsts if jobs > 1 and len(firsts) > 1 else [None]
 
 
-def _take_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int) -> Counter:
-    """The counts of every shard this process takes from the task pipe:
-    one byte, a shard's index, per read, until the pipe is empty."""
-    flat: Counter = Counter()
+def _take_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int) -> list[int]:
+    """The summed tallies of every shard this process takes from the task
+    pipe: one byte, a shard's index, per read, until the pipe is empty."""
+    depths, moduli = _tally_axes(query)
+    tally = [0] * ((query.genus - low + 1) * depths * moduli)
     while index := os.read(tasks, 1):
-        flat.update(_census(query, low, firsts[index[0]]))
-    return flat
+        tally = list(map(add, tally, _census(query, low, firsts[index[0]])))
+    return tally
 
 
 def _shard_worker(
     query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int, into: int, inherited: tuple[int, ...]
 ) -> NoReturn:
     """A forked child's whole life: close the result pipes' read ends it
-    inherited, take shards, send their counts as one marshalled dict, and
+    inherited, take shards, send their tally as one marshalled list, and
     leave with status 0, or 1 on any failure, without returning into the
     parent's stack."""
     status = 1
     try:
         for fd in inherited:  # with no reader but the parent, a write after its death fails
             os.close(fd)
-        payload = memoryview(marshal.dumps(dict(_take_shards(query, low, firsts, tasks))))
+        payload = memoryview(marshal.dumps(_take_shards(query, low, firsts, tasks)))
         while payload:  # a pipe may take fewer bytes than asked
             payload = payload[os.write(into, payload) :]
         status = 0
@@ -240,8 +286,8 @@ def _shard_worker(
         os._exit(status)
 
 
-def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], workers: int) -> Counter:
-    """The shards' summed counts, from this process and workers - 1 forked
+def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], workers: int) -> list[int]:
+    """The shards' summed tally, from this process and workers - 1 forked
     children pulling shard indices from one pipe.  A child that fails
     raises ChildProcessError; on any error, this process's own included,
     every child still running is killed, and every child is reaped."""
@@ -262,7 +308,7 @@ def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], wo
                 _shard_worker(query, low, firsts, tasks, into, (out, *children.values()))
             os.close(into)
             children[pid] = out
-        flat = _take_shards(query, low, firsts, tasks)
+        tally = _take_shards(query, low, firsts, tasks)
         for pid, out in list(children.items()):
             chunks = []
             while chunk := os.read(out, 1 << 16):
@@ -273,8 +319,8 @@ def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], wo
             if status:
                 how = f"exited with status {status}" if status > 0 else f"was killed by signal {-status}"
                 raise ChildProcessError(f"census shard worker {pid} {how}")
-            flat.update(marshal.loads(b"".join(chunks)))
-        return flat
+            tally = list(map(add, tally, marshal.loads(b"".join(chunks))))
+        return tally
     finally:
         os.close(tasks)
         if children:  # only after an error: stop and reap the rest
@@ -297,14 +343,18 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
         raise ValueError(f"low genus must be in 0..{query.genus}, got {low}")
     firsts = _shard_firsts(query, jobs)
     if len(firsts) == 1:
-        flat = _census(query, low, firsts[0])
+        tally = _census(query, low, firsts[0])
     else:
         workers = min(jobs, len(firsts)) if hasattr(os, "fork") else 1
-        flat = _census_shards(query, low, firsts, workers)
+        tally = _census_shards(query, low, firsts, workers)
+    depths, moduli = _tally_axes(query)
     hists = {g: Counter() for g in range(low, query.genus + 1)}
-    for (g, q, m), n in flat.items():
-        if query.selects(q, m):
-            hists[g][q, m] = n
+    for index, n in enumerate(tally):  # in (genus, depth, modulus) order, so each Counter's is fixed
+        if n:
+            g, cell = divmod(index, depths * moduli)
+            q, m = divmod(cell, moduli)
+            if query.selects(q, m):
+                hists[low + g][q, m] = n
     return hists
 
 

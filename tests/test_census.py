@@ -349,6 +349,20 @@ def test_filtered_histogram_is_the_selected_cells():
             assert census_histograms(query)[g] == want, query
 
 
+def test_every_filter_at_either_end_of_low():
+    # the tally's axes fit every window, those that rule every multiplicity out or hold one part included
+    full = census_histograms(q(10), low=0)
+    for g in range(11):
+        depth_filters = [{}] + [{name: d} for name in ("depth", "max_depth") for d in range(g + 2)]
+        for f in depth_filters:
+            for mult in [None, *range(2, g + 3)]:
+                query = q(g, mult=mult, **f)
+                want = {h: Counter({c: n for c, n in full[h].items() if query.selects(*c)}) for h in range(g + 1)}
+                assert census_histograms(query, low=0) == want, query
+                assert census_histograms(query, low=g) == {g: want[g]}, query
+    assert census_histograms(q(10, max_depth=10**9), low=0) == full  # the depth axis stops at the genus
+
+
 def test_mult_histograms_are_the_selected_cells():
     # a multiplicity m caps every coordinate at ceil(2G/m), the depth bound at genus G
     full = census_histograms(q(18), low=0)
@@ -388,3 +402,8 @@ def test_semigroup_tree_agrees_with_the_census():
         for f in shapes + [q(g, depth=d) for d in range(g + 1)]:
             assert sum(census_histograms(f)[g].values()) == f.count_in(hist), f
     assert census_histograms(q(16), low=0) == {g: +hist for g, hist in enumerate(tree)}
+    # one filtered pass from genus 0, whose last two levels are counted in place, cell by cell
+    for f in one_pass_filters(16):
+        query = q(16, **f)
+        want = {g: Counter({c: n for c, n in hist.items() if query.selects(*c)}) for g, hist in enumerate(tree)}
+        assert census_histograms(query, low=0) == want, f
