@@ -246,11 +246,13 @@ def _census(
 
 
 def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
-    """First coordinates a census is sharded by; [None] runs it whole."""
+    """First coordinates a census is sharded by; [None] runs it whole, as
+    it does for an empty part-count window (pmin > pmax): the query then
+    selects no gapset at any genus, and a fork costs more than the search."""
     g = query.genus
-    cap, pmin, _ = _search_bounds(query)
+    cap, pmin, pmax = _search_bounds(query)
     firsts = list(range(1, min(cap, g - pmin + 1) + 1))
-    return firsts if jobs > 1 and len(firsts) > 1 else [None]
+    return firsts if jobs > 1 and len(firsts) > 1 and pmin <= pmax else [None]
 
 
 def _take_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int) -> list[int]:

@@ -146,12 +146,11 @@ def parse_bfile(path: Path) -> dict[int, int]:
 # count cache
 
 
-# A cache record's line exactly as `save` writes it: the genus an int, each
-# other query field an int or null, then the count, every int spelled as
-# `json.dumps` spells it (no -0); groups: the record prefix, then the count.
-# A numeral past 19 digits (64 bits) sends the load through the JSON
-# records, which apply `int`'s digit limit.
-_INT = rb"(?:0|-?[1-9][0-9]{0,18})"
+# A cache record's line exactly as `save` writes it, and the only line a
+# reader takes for a record: the genus an int, each other query field an int
+# or null, then the count, every int spelled as `json.dumps` spells it (no -0,
+# at most 4300 digits, `int`'s limit); groups: the record prefix, then the count.
+_INT = rb"(?:0|-?[1-9][0-9]{0,4299})"
 _RECORD = re.compile(
     rb'^(\{"genus": %s, ' % _INT
     + b"".join(b'"%s": (?:null|%s), ' % (f.encode(), _INT) for f in QUERY_FIELDS[1:])
@@ -166,102 +165,42 @@ def _record_prefix(key: tuple) -> bytes:
     return (json.dumps(dict(zip(QUERY_FIELDS, key)))[:-1] + ', "count": ').encode()
 
 
-def _json_records(body: bytes) -> tuple[dict[tuple, int], dict[tuple, object]]:
-    """The cache lines' records by query: those with every query field an
-    int or null and an int count, and apart from them the others.  A line
-    that does not parse, a record without the fields or the count, and a
-    record with a list or object field (it can equal no query) are skipped."""
-    body = body.rstrip(b"\n")
-    try:  # one parse of every line at once
-        records = json.loads(b"[" + body.replace(b"\n", b",") + b"]")
-    except ValueError:  # a torn or foreign line: parse the others one by one
-        records = []
-        for line in body.splitlines():
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                pass
-    entries, rejected = {}, {}
-    for rec in records:
-        try:
-            key, count = _record_key(rec), rec["count"]
-            hash(key)
-        except (KeyError, TypeError):
-            continue
-        genus, depth, max_depth, mult = key
-        # 8.0 and true equal 8 and 1: a record with either would answer a query, or give a count, not its own
-        ints = type(genus) is int and (depth is None or type(depth) is int) and type(count) is int
-        if ints and (max_depth is None or type(max_depth) is int) and (mult is None or type(mult) is int):
-            entries[key] = count
-            rejected.pop(key, None)
-        else:
-            rejected[key] = count
-            entries.pop(key, None)
-    return entries, rejected
-
-
 class CountCache:
     """Append-only JSON Lines cache of census counts.
 
     The file is the header line `{"schema_version": 3}`, then one record per
-    line: a query's fields and its `count`.  A later record of a query
-    supersedes every earlier one.  A file without the header (another
-    schema, such as the single document of schema 2) is ignored wholesale
-    (recompute instead of migrating) and replaced by the next save.  `save`
-    appends the records put since the load in one write, under an exclusive
-    lock on `<path>.lock`: a concurrent writer loses nothing, and a crash
-    mid-write leaves at most a torn last line, which readers skip.
+    line: a query's fields and its `count`.  A line is a record only when
+    it is spelled as `save` spells it (`_RECORD`); any other line, a torn
+    one included, is skipped, so it is never served and never checked.  A
+    later record of a query supersedes every earlier one.  A file without
+    the header (another schema, such as the single document of schema 2) is
+    ignored wholesale (recompute instead of migrating) and replaced by the
+    next save.  `save` appends the records put since the load in one write,
+    under an exclusive lock on `<path>.lock`: a concurrent writer loses
+    nothing, and a crash mid-write leaves at most a torn last line.
 
     A lookup goes through `index`, which maps a query's record prefix (its
-    record up to the count, as `save` spells it) to the count.  When every
-    line is spelled as `save` spells it, one regular expression builds the
-    index with no JSON parse; any other line sends the load through the
-    JSON records, as `entries` and `rejected` read them.
+    record up to the count) to the count, as one regular expression reads
+    it off the file with no JSON parse.
     """
 
     HEADER = b'{"schema_version": 3}\n'
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.body, self.index = self._load()
-        self.puts: dict[tuple, int] = {}  # every put since the load
+        self.index = self._load()
         self.unsaved: dict[tuple, int] = {}  # the puts since the load or the last save
 
-    def _load(self) -> tuple[bytes, dict[bytes, bytes | int]]:
-        """The file's lines after the header, and their index; neither if the
-        file is missing, unreadable or without the header."""
+    def _load(self) -> dict[bytes, bytes | int]:
+        """The index of the file's records; empty if the file is missing,
+        unreadable or without the header."""
         try:
             data = self.path.read_bytes()
         except OSError:
-            return b"", {}
+            return {}
         if not data.startswith(self.HEADER):
-            return b"", {}
-        body = data[len(self.HEADER) :]
-        if body.endswith(b"\n") or not body:
-            pairs = _RECORD.findall(body)
-            if len(pairs) == body.count(b"\n"):  # every line is a record as `save` spells it
-                return body, dict(pairs)  # the later record of a query wins
-        entries, _ = _json_records(body)
-        return body, {_record_prefix(key): count for key, count in entries.items()}
-
-    @property
-    def entries(self) -> dict[tuple, int]:
-        """Each query's count: its last record's, or its last put's."""
-        return self._records()[0]
-
-    @property
-    def rejected(self) -> dict[tuple, object]:
-        """The records with a query field neither an int nor null, or a count
-        not an int, by their fields, unless a put or a later record of the
-        query replaced them."""
-        return self._records()[1]
-
-    def _records(self) -> tuple[dict[tuple, int], dict[tuple, object]]:
-        entries, rejected = _json_records(self.body)
-        for key, count in self.puts.items():
-            entries[key] = count
-            rejected.pop(key, None)
-        return entries, rejected
+            return {}
+        return dict(_RECORD.findall(data, len(self.HEADER)))  # the later record of a query wins
 
     def get(self, query: CensusQuery) -> Optional[int]:
         count = self.index.get(_record_prefix(query_key(query)))
@@ -269,7 +208,7 @@ class CountCache:
 
     def put(self, query: CensusQuery, count: int) -> None:
         key = query_key(query)
-        self.index[_record_prefix(key)] = self.puts[key] = self.unsaved[key] = count
+        self.index[_record_prefix(key)] = self.unsaved[key] = count
 
     def save(self) -> None:
         """Append the records put since the load or the last save."""
@@ -296,24 +235,22 @@ class CountCache:
         self.unsaved.clear()
 
     def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
-        """Check every cached entry against one unfiltered census up to the
-        largest cached genus, which must pass the guard; returns mismatch
-        descriptions, the rejected records first."""
+        """Check every record against one unfiltered census up to the largest
+        cached genus, which must pass the guard; returns mismatch
+        descriptions, the records that are not census queries first."""
         problems, checks = [], []
-        entries, rejected = self._records()
-        for key, cached in [*rejected.items(), *entries.items()]:
+        for prefix, cached in self.index.items():
+            key = _record_key(json.loads(prefix + b"null}"))  # the fields; the count is `cached`
             label = " ".join(f"{f}={v}" for f, v in zip(QUERY_FIELDS, key))
             try:
-                checks.append((label, CensusQuery(*key), cached))
-            except (TypeError, ValueError, OverflowError):
+                checks.append((label, CensusQuery(*key), int(cached)))
+            except (ValueError, OverflowError):
                 problems.append(f"{label}: not a census query")
         gmax = max((query.genus for _, query, _ in checks), default=0)
         _guard("genus", gmax, GMAX_GUARD, force)
         hists = census_histograms(CensusQuery(gmax), jobs, low=0)
         for label, query, cached in checks:
-            if type(cached) is not int:  # true would pass for 1
-                problems.append(f"{label}: count {cached!r} is not an int")
-            elif (fresh := query.count_in(hists[query.genus])) != cached:
+            if (fresh := query.count_in(hists[query.genus])) != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
         return problems
 
@@ -455,7 +392,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             print(p)
         if problems:
             return EXIT_INTERNAL
-        print(f"cache ok: {len(cache.entries)} entries verified")
+        print(f"cache ok: {len(cache.index)} entries verified")
         return EXIT_OK
 
     query = _census_query(args)

@@ -123,6 +123,16 @@ def test_no_gapsets_of_a_multiplicity_the_depth_rules_out():
     assert count_gapsets(q(30, depth=12, mult=8)).count == 0
 
 
+def test_an_empty_window_forks_nothing(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for query in (q(30, depth=12, mult=8), q(12, depth=30)):  # the depth rules every multiplicity out
+        r = count_gapsets(query, jobs=2)
+        assert (r.count, r.shards) == (0, 1), query
+
+
 def test_depth_window_over_census():
     for g in range(1, 15):
         for c in enumerate_compositions(g):

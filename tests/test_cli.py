@@ -138,34 +138,48 @@ def test_cache_unknown_schema_ignored(tmp_path, capsys):
         assert read_cache(cache_path) == [{**record, "count": 67}], doc  # and the file replaced
 
 
-def test_selfcheck_reports_non_integer_fields(tmp_path, capsys):
+def test_selfcheck_reports_non_integer_fields(tmp_path, capsys, monkeypatch):
     cache_path = tmp_path / "cache.json"
     entries = [
         {"genus": 5.0, "depth": None, "max_depth": None, "mult": None, "count": 12},
         {"genus": 6, "depth": None, "max_depth": 2.5, "mult": None, "count": 12},
         {"genus": 7, "depth": None, "max_depth": None, "mult": None, "count": 39},
     ]
+    # a field or a count that is not an int is not spelled as `save` spells a record: it is
+    # skipped like a torn line, so it is neither checked nor reported
     write_cache(cache_path, entries)
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
-    assert code == 3
-    assert out.splitlines() == [
-        "genus=5.0 depth=None max_depth=None mult=None: not a census query",
-        "genus=6 depth=None max_depth=2.5 mult=None: not a census query",
-    ]
+    assert (code, out) == (0, "cache ok: 1 entries verified\n")
     # a float as the largest genus once reached range() inside the census
     write_cache(cache_path, entries[:1])
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
-    assert code == 3
-    assert out.splitlines() == ["genus=5.0 depth=None max_depth=None mult=None: not a census query"]
-    # a count that is not an int rejects its record too, though int() of each is the census count
+    assert (code, out) == (0, "cache ok: 0 entries verified\n")
     write_cache(cache_path, [{**entries[2], "genus": g, "count": n} for g, n in ((6, 23.9), (7, "39"), (1, True))])
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
-    assert code == 3
-    assert out.splitlines() == [
-        "genus=6 depth=None max_depth=None mult=None: count 23.9 is not an int",
-        "genus=7 depth=None max_depth=None mult=None: count '39' is not an int",
-        "genus=1 depth=None max_depth=None mult=None: count True is not an int",
-    ]
+    assert (code, out) == (0, "cache ok: 0 entries verified\n")
+
+    # records spelled as `save` spells them, of fields no CensusQuery takes
+    refused = {
+        canonical(-1, 0): "genus=-1 depth=None max_depth=None mult=None",
+        canonical(30, 1, mult=1): "genus=30 depth=None max_depth=None mult=1",
+        canonical(30, 5, depth=3, max_depth=4): "genus=30 depth=3 max_depth=4 mult=None",
+        canonical(64, 1): "genus=64 depth=None max_depth=None mult=None",
+    }
+    asked = []
+    census_histograms = cli.census_histograms
+
+    def spy(query, *args, **kwargs):
+        asked.append(query)
+        return census_histograms(query, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "census_histograms", spy)
+    for lines, gmax in [([line], 0) for line in refused] + [([*refused, canonical(7, 39)], 7)]:
+        cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
+        asked.clear()
+        code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+        assert (code, err) == (3, ""), lines
+        assert out.splitlines() == [f"{refused[line]}: not a census query" for line in lines if line in refused]
+        assert asked == [CensusQuery(gmax)], lines  # the census runs to the largest genus of a census query
 
 
 def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
@@ -175,20 +189,14 @@ def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
     counts = [{**floats, "genus": g, "count": n} for g, n in ((6, 23.9), (7, "39"), (1, True))]
     write_cache(cache_path, [floats, bools, *counts])
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
-    assert code == 3 and out.splitlines() == [
-        "genus=8.0 depth=None max_depth=None mult=None: not a census query",
-        "genus=8 depth=None max_depth=True mult=None: not a census query",
-        "genus=6 depth=None max_depth=None mult=None: count 23.9 is not an int",
-        "genus=7 depth=None max_depth=None mult=None: count '39' is not an int",
-        "genus=1 depth=None max_depth=None mult=None: count True is not an int",
-    ]
+    assert (code, out) == (0, "cache ok: 0 entries verified\n")  # none of these lines is a record
     # 8.0 and true hash as 8 and 1, and int() reads 23.9, "39" and true as 23, 39 and 1 (each
     # the census count), yet each count is recomputed, not served
     asks = [(["8"], 67), (["8", "--max-depth", "1"], 1), (["6"], 23), (["7"], 39), (["1"], 1)]
     for flags, count in asks:
         code, out, _ = run(capsys, "count", "--genus", *flags, "--cache", str(cache_path), "--format", "json")
         assert code == 0 and (json.loads(out)["count"], json.loads(out)["cached"]) == (count, False)
-    # and the saves appended clean records, which supersede the rejected ones
+    # and the saves appended clean records, the only ones a load reads
     assert read_cache(cache_path) == [
         floats,
         bools,
@@ -197,23 +205,25 @@ def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
         {**bools, "max_depth": 1, "count": 1},
         *({**rec, "count": int(rec["count"])} for rec in counts),
     ]
-    assert CountCache(cache_path).rejected == {}
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert (code, out) == (0, "cache ok: 5 entries verified\n")
 
 
 def test_cache_later_record_supersedes(tmp_path):
     cache_path = tmp_path / "cache.json"
-    record = {"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 67}
-    bounded = {**record, "max_depth": 3, "count": 1}
-    write_cache(cache_path, [record, {**record, "genus": 8.0}, bounded, {**bounded, "count": 62}])
-    cache = CountCache(cache_path)
-    assert cache.entries == {(8, None, 3, None): 62}
-    assert cache.rejected == {(8, None, None, None): 67}
+    record, bounded = canonical(8, 67), canonical(8, 62, max_depth=3)
+    for foreign in ["", *FOREIGN_LINES]:  # no line, then a line of each kind `save` never writes
+        lines = [record, canonical(8, 1, max_depth=3), bounded] + ([foreign] if foreign else [])
+        cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
+        cache = CountCache(cache_path)
+        # a later record supersedes an earlier one; a later foreign line supersedes nothing
+        assert cache.get(CensusQuery(8, max_depth=3)) == 62, foreign
+        assert cache.get(CensusQuery(8)) == 67, foreign
+        assert cache.get(CensusQuery(8, depth=0)) is None, foreign
 
 
 def test_cache_skips_list_and_object_fields(tmp_path, capsys):
-    # such a record can equal no query: it is skipped as foreign, not rejected
+    # such a line is not spelled as `save` spells a record, so it is skipped like a torn line
     cache_path = tmp_path / "cache.json"
     record = {"genus": 7, "depth": None, "max_depth": None, "mult": None, "count": 39}
     write_cache(cache_path, [{**record, "genus": [8]}, {**record, "mult": {"m": 3}}, record])
@@ -232,14 +242,15 @@ GRID_QUERIES = [
 ]
 
 
-def test_saved_records_take_the_fast_path(tmp_path, monkeypatch):
+def test_saved_records_load_without_json(tmp_path, monkeypatch):
     cache_path = tmp_path / "cache.json"
     cache = CountCache(cache_path)
-    counts = [0, 7, 2**63 - 1] * len(GRID_QUERIES)  # 2**63 - 1 has 19 digits, the most the fast path reads
-    for query, count in zip(GRID_QUERIES, counts):
+    queries = GRID_QUERIES + [CensusQuery(9, max_depth=10**30, mult=10**4299)]  # 31 and 4300 digits
+    counts = ([0, 7, 2**63 - 1] * len(queries))[: len(queries) - 1] + [10**4299]  # 4300 digits: int's limit
+    for query, count in zip(queries, counts):
         cache.put(query, count)
     cache.save()
-    for line, query, count in zip(read_lines(cache_path), GRID_QUERIES, counts):
+    for line, query, count in zip(read_lines(cache_path), queries, counts, strict=True):
         assert cli._RECORD.fullmatch(line), line
         assert json.loads(line) == {**dict(zip(cli.QUERY_FIELDS, cli.query_key(query))), "count": count}
 
@@ -248,7 +259,7 @@ def test_saved_records_take_the_fast_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.json, "loads", boom)
     fresh = CountCache(cache_path)
-    assert [fresh.get(query) for query in GRID_QUERIES] == counts[: len(GRID_QUERIES)]
+    assert [fresh.get(query) for query in queries] == counts
 
 
 # A line of each kind `save` never writes, each about a query that canonical lines also answer.
@@ -272,14 +283,34 @@ FOREIGN_LINES = [
 ]
 
 
-def test_fast_path_answers_as_the_json_path(tmp_path, monkeypatch):
+def records_of(body):
+    """What a cache body after the header answers, by query key: a line is a record exactly
+    when JSON reads it as an int genus, other fields each an int or None, and an int count
+    (no bool), and `canonical` of those gives the line back; the later record of a query wins."""
+    answers = {}
+    for line in body.split("\n"):
+        try:
+            rec = json.loads(line)
+        except ValueError:  # torn, not JSON, or past int's digit limit
+            continue
+        if type(rec) is not dict or rec.keys() != {*cli.QUERY_FIELDS, "count"}:
+            continue
+        genus, *fields = (rec[f] for f in cli.QUERY_FIELDS)
+        if type(genus) is int and type(rec["count"]) is int and all(v is None or type(v) is int for v in fields):
+            if canonical(genus, rec["count"], **dict(zip(cli.QUERY_FIELDS[1:], fields))) == line:
+                answers[genus, *fields] = rec["count"]
+    return answers
+
+
+def test_cache_reads_only_the_records_save_writes(tmp_path, monkeypatch):
     import random
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("json.loads called")
 
     rng = random.Random(20261019)
     keys = [(8, {}), (8, {"depth": 0}), (8, {"max_depth": 3}), (7, {}), (9, {"max_depth": 3}), (9, {"mult": 4})]
     queries = [CensusQuery(g, **fields) for g, fields in keys] + [CensusQuery(10), CensusQuery(8, mult=3)]
-    loads, real_loads = [], json.loads
-    monkeypatch.setattr(cli.json, "loads", lambda text: loads.append(text) or real_loads(text))
     cache_path = tmp_path / "cache.json"
     for trial in range(300):
         lines = [canonical(g, rng.randrange(200), **fields) for g, fields in rng.choices(keys, k=rng.randrange(8))]
@@ -290,12 +321,13 @@ def test_fast_path_answers_as_the_json_path(tmp_path, monkeypatch):
         if foreign == 0 and rng.random() < 0.5:  # a torn last line has no newline
             body = body[:-1]
         cache_path.write_bytes(CountCache.HEADER + body.encode())
-        loads.clear()
-        cache = CountCache(cache_path)
-        assert bool(loads) == (foreign < len(FOREIGN_LINES)), lines  # a JSON parse exactly when a line is foreign
-        entries = cache.entries
-        for query in queries:
-            assert cache.get(query) == entries.get(cli.query_key(query)), (lines, query)
+        expected = records_of(body)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.json, "loads", boom)
+            cache = CountCache(cache_path)
+            for query in queries:
+                assert cache.get(query) == expected.get(cli.query_key(query)), (lines, query)
+        assert len(cache.index) == len(expected), lines  # and it took no other line for a record
 
 
 def test_cache_hit_parses_no_json(tmp_path, capsys, monkeypatch):
@@ -313,13 +345,14 @@ def test_cache_hit_parses_no_json(tmp_path, capsys, monkeypatch):
 
 def test_cache_put_is_visible_before_and_after_save(tmp_path):
     cache_path = tmp_path / "cache.json"
-    for lines in ([canonical(8, 1)], [canonical(8, 1), canonical(8.0, 2)]):  # the fast path, then the JSON one
+    for lines in ([canonical(8, 1)], [canonical(8, 1), canonical(8.0, 2)]):  # without a foreign line, then with one
         cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
         cache = CountCache(cache_path)
+        assert cache.get(CensusQuery(8)) == 1
         cache.put(CensusQuery(8), 67)
-        assert (cache.get(CensusQuery(8)), cache.entries, cache.rejected) == (67, {(8, None, None, None): 67}, {})
+        assert cache.get(CensusQuery(8)) == 67
         cache.save()
-        assert (cache.get(CensusQuery(8)), cache.entries, cache.rejected) == (67, {(8, None, None, None): 67}, {})
+        assert cache.get(CensusQuery(8)) == 67
         assert CountCache(cache_path).get(CensusQuery(8)) == 67
 
 
