@@ -30,8 +30,8 @@ A sharded census splits the search by its first coordinate k_1.  The
 calling process and up to jobs - 1 forked children take the shards one at
 a time from a single pipe, so the work balances itself; each child sends
 its tally back over a pipe of its own, and the tallies add cell by cell.
-No process pool is started, and a platform without `os.fork` counts
-every shard in the calling process.
+No process pool is started, and a platform without `os.fork` runs the
+census whole in the calling process.
 
 Every closed formula and tabulated value elsewhere in the package is
 checked against this census.  The composition walk in `tilings` (the
@@ -247,12 +247,13 @@ def _census(
 
 def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
     """First coordinates a census is sharded by; [None] runs it whole, as
-    it does for an empty part-count window (pmin > pmax): the query then
-    selects no gapset at any genus, and a fork costs more than the search."""
+    it does for an empty part-count window (pmin > pmax), where the query
+    selects no gapset at any genus and a fork costs more than the search,
+    and without `os.fork`, where shards would only split one search."""
     g = query.genus
     cap, pmin, pmax = _search_bounds(query)
     firsts = list(range(1, min(cap, g - pmin + 1) + 1))
-    return firsts if jobs > 1 and len(firsts) > 1 and pmin <= pmax else [None]
+    return firsts if jobs > 1 and len(firsts) > 1 and pmin <= pmax and hasattr(os, "fork") else [None]
 
 
 def _take_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int) -> list[int]:
@@ -347,8 +348,7 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
     if len(firsts) == 1:
         tally = _census(query, low, firsts[0])
     else:
-        workers = min(jobs, len(firsts)) if hasattr(os, "fork") else 1
-        tally = _census_shards(query, low, firsts, workers)
+        tally = _census_shards(query, low, firsts, min(jobs, len(firsts)))
     depths, moduli = _tally_axes(query)
     hists = {g: Counter() for g in range(low, query.genus + 1)}
     for index, n in enumerate(tally):  # in (genus, depth, modulus) order, so each Counter's is fixed

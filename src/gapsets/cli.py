@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import io
 import json
-import operator
 import os
 import re
 import sys
@@ -68,10 +67,8 @@ GMAX_GUARD = 22
 FROM_KUNZ_MAX_GENUS = 10**6
 
 # A CensusQuery's fields in constructor order: the keys of `count`'s query
-# record and of a cache entry; a query's cache key is the tuple of values.
+# record and of a cache entry.
 QUERY_FIELDS = tuple(f.name for f in dataclasses.fields(CensusQuery))
-query_key = operator.attrgetter(*QUERY_FIELDS)
-_record_key = operator.itemgetter(*QUERY_FIELDS)
 
 
 def bundled_bfile() -> Path:
@@ -159,10 +156,10 @@ _RECORD = re.compile(
 )
 
 
-def _record_prefix(key: tuple) -> bytes:
+def _record_prefix(query: CensusQuery) -> bytes:
     """A query's cache record up to its count: `json.dumps` of its fields
     and `count`, cut before the count's value."""
-    return (json.dumps(dict(zip(QUERY_FIELDS, key)))[:-1] + ', "count": ').encode()
+    return (json.dumps(vars(query))[:-1] + ', "count": ').encode()
 
 
 class CountCache:
@@ -175,13 +172,13 @@ class CountCache:
     later record of a query supersedes every earlier one.  A file without
     the header (another schema, such as the single document of schema 2) is
     ignored wholesale (recompute instead of migrating) and replaced by the
-    next save.  `save` appends the records put since the load in one write,
-    under an exclusive lock on `<path>.lock`: a concurrent writer loses
-    nothing, and a crash mid-write leaves at most a torn last line.
+    next save.  `save` appends one record in one write, under an exclusive
+    lock on the file itself: a concurrent writer loses nothing, and a crash
+    mid-write leaves at most a torn last line.
 
     A lookup goes through `index`, which maps a query's record prefix (its
-    record up to the count) to the count, as one regular expression reads
-    it off the file with no JSON parse.
+    record up to the count) to the count's digits, as one regular
+    expression reads them off the file with no JSON parse.
     """
 
     HEADER = b'{"schema_version": 3}\n'
@@ -189,9 +186,8 @@ class CountCache:
     def __init__(self, path: Path):
         self.path = Path(path)
         self.index = self._load()
-        self.unsaved: dict[tuple, int] = {}  # the puts since the load or the last save
 
-    def _load(self) -> dict[bytes, bytes | int]:
+    def _load(self) -> dict[bytes, bytes]:
         """The index of the file's records; empty if the file is missing,
         unreadable or without the header."""
         try:
@@ -203,36 +199,30 @@ class CountCache:
         return dict(_RECORD.findall(data, len(self.HEADER)))  # the later record of a query wins
 
     def get(self, query: CensusQuery) -> Optional[int]:
-        count = self.index.get(_record_prefix(query_key(query)))
+        count = self.index.get(_record_prefix(query))
         return None if count is None else int(count)
 
-    def put(self, query: CensusQuery, count: int) -> None:
-        key = query_key(query)
-        self.index[_record_prefix(key)] = self.unsaved[key] = count
-
-    def save(self) -> None:
-        """Append the records put since the load or the last save."""
-        if not self.unsaved:
-            return
-        data = b"".join(_record_prefix(key) + b"%d}\n" % n for key, n in self.unsaved.items())
-        with open(f"{self.path}.lock", "a") as lock:
-            if fcntl is not None:  # without it the append goes unlocked
-                fcntl.flock(lock, fcntl.LOCK_EX)
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | getattr(os, "O_BINARY", 0), 0o666)
-            try:
-                if os.read(fd, len(self.HEADER)) != self.HEADER:
-                    os.ftruncate(fd, 0)
-                    data = self.HEADER + data
-                else:  # close a line torn by a crash, so that it spoils no record of ours
-                    os.lseek(fd, -1, os.SEEK_END)
-                    if os.read(fd, 1) != b"\n":
-                        data = b"\n" + data
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view) :]
-            finally:
-                os.close(fd)
-        self.unsaved.clear()
+    def save(self, query: CensusQuery, count: int) -> None:
+        """Append the query's record; `get` answers it at once."""
+        prefix = _record_prefix(query)
+        data = prefix + b"%d}\n" % count
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            if fcntl is not None:  # without it the append goes unlocked; closing the fd unlocks
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.read(fd, len(self.HEADER)) != self.HEADER:
+                os.ftruncate(fd, 0)
+                data = self.HEADER + data
+            else:  # close a line torn by a crash, so that it spoils no record of ours
+                os.lseek(fd, -1, os.SEEK_END)
+                if os.read(fd, 1) != b"\n":
+                    data = b"\n" + data
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        self.index[prefix] = b"%d" % count
 
     def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
         """Check every record against one unfiltered census up to the largest
@@ -240,10 +230,11 @@ class CountCache:
         descriptions, the records that are not census queries first."""
         problems, checks = [], []
         for prefix, cached in self.index.items():
-            key = _record_key(json.loads(prefix + b"null}"))  # the fields; the count is `cached`
-            label = " ".join(f"{f}={v}" for f, v in zip(QUERY_FIELDS, key))
+            fields = json.loads(prefix + b"null}")  # the count is `cached`
+            del fields["count"]
+            label = " ".join(f"{f}={v}" for f, v in fields.items())
             try:
-                checks.append((label, CensusQuery(*key), int(cached)))
+                checks.append((label, CensusQuery(**fields), int(cached)))
             except (ValueError, OverflowError):
                 problems.append(f"{label}: not a census query")
         gmax = max((query.genus for _, query, _ in checks), default=0)
@@ -403,10 +394,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         result = count_gapsets(query, jobs=args.jobs)
         count, elapsed_ms, shards = result.count, result.elapsed * 1000.0, result.shards
         if cache:
-            cache.put(query, count)
-            cache.save()
+            cache.save(query, count)
 
-    fields = dict(zip(QUERY_FIELDS, query_key(query)))
+    fields = vars(query)
     record = {
         "query": fields,
         "count": count,

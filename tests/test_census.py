@@ -163,10 +163,16 @@ def test_sharded_equals_unsharded():
 
 def test_shards_run_in_process_without_fork(monkeypatch):
     expected = {f"{f}": census_histograms(q(14, **f), low=0) for f in one_pass_filters(14)}
+    from gapsets import census
+
     monkeypatch.delattr(os, "fork")  # a platform without fork: any fork would raise AttributeError
+    entered = []
+    real_shards = census._census_shards
+    monkeypatch.setattr(census, "_census_shards", lambda *args: entered.append(args) or real_shards(*args))
     for f in one_pass_filters(14):
         assert census_histograms(q(14, **f), jobs=3, low=0) == expected[f"{f}"], f
-    assert count_gapsets(q(13), jobs=3).shards == 13
+    assert entered == []  # each search ran whole
+    assert count_gapsets(q(13), jobs=3).shards == 1
     assert_no_child_left()
 
 

@@ -1,7 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -117,9 +120,8 @@ def test_count_cache_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "count", "--genus", "8", "--cache", str(cache_path), "--format", "json")
     assert code == 0 and json.loads(out)["cached"] is True
     assert cache_path.read_bytes() == before
-    # a save with nothing put touches no file
-    CountCache(tmp_path / "none.json").save()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "cache.json.lock"]
+    # the log is the cache's one file: no lock file beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
 def test_cache_unknown_schema_ignored(tmp_path, capsys):
@@ -131,11 +133,12 @@ def test_cache_unknown_schema_ignored(tmp_path, capsys):
     docs += [{"schema_version": 2, "entries": entries} for entries in (5, None, "genus")]
     record = {"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 1}
     docs.append({"schema_version": 2, "entries": [record]})
-    for doc in docs:
-        cache_path.write_text(json.dumps(doc))
+    texts = [json.dumps(doc) for doc in docs] + ["", '{"schema_ver']  # and an empty file, a torn header
+    for text in texts:
+        cache_path.write_text(text)
         code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
-        assert (code, out.strip(), err) == (0, "67", ""), doc  # recomputed, not the bogus 1
-        assert read_cache(cache_path) == [{**record, "count": 67}], doc  # and the file replaced
+        assert (code, out.strip(), err) == (0, "67", ""), text  # recomputed, not the bogus 1
+        assert read_cache(cache_path) == [{**record, "count": 67}], text  # and the file replaced
 
 
 def test_selfcheck_reports_non_integer_fields(tmp_path, capsys, monkeypatch):
@@ -248,11 +251,10 @@ def test_saved_records_load_without_json(tmp_path, monkeypatch):
     queries = GRID_QUERIES + [CensusQuery(9, max_depth=10**30, mult=10**4299)]  # 31 and 4300 digits
     counts = ([0, 7, 2**63 - 1] * len(queries))[: len(queries) - 1] + [10**4299]  # 4300 digits: int's limit
     for query, count in zip(queries, counts):
-        cache.put(query, count)
-    cache.save()
+        cache.save(query, count)
     for line, query, count in zip(read_lines(cache_path), queries, counts, strict=True):
         assert cli._RECORD.fullmatch(line), line
-        assert json.loads(line) == {**dict(zip(cli.QUERY_FIELDS, cli.query_key(query))), "count": count}
+        assert json.loads(line) == {**dict(zip(cli.QUERY_FIELDS, dataclasses.astuple(query))), "count": count}
 
     def boom(*args, **kwargs):
         raise RuntimeError("json.loads called")
@@ -326,7 +328,7 @@ def test_cache_reads_only_the_records_save_writes(tmp_path, monkeypatch):
             patch.setattr(cli.json, "loads", boom)
             cache = CountCache(cache_path)
             for query in queries:
-                assert cache.get(query) == expected.get(cli.query_key(query)), (lines, query)
+                assert cache.get(query) == expected.get(dataclasses.astuple(query)), (lines, query)
         assert len(cache.index) == len(expected), lines  # and it took no other line for a record
 
 
@@ -343,15 +345,13 @@ def test_cache_hit_parses_no_json(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (0, "99\n", "")
 
 
-def test_cache_put_is_visible_before_and_after_save(tmp_path):
+def test_cache_save_answers_at_once_and_after_a_reload(tmp_path):
     cache_path = tmp_path / "cache.json"
     for lines in ([canonical(8, 1)], [canonical(8, 1), canonical(8.0, 2)]):  # without a foreign line, then with one
         cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
         cache = CountCache(cache_path)
         assert cache.get(CensusQuery(8)) == 1
-        cache.put(CensusQuery(8), 67)
-        assert cache.get(CensusQuery(8)) == 67
-        cache.save()
+        cache.save(CensusQuery(8), 67)
         assert cache.get(CensusQuery(8)) == 67
         assert CountCache(cache_path).get(CensusQuery(8)) == 67
 
@@ -359,56 +359,87 @@ def test_cache_put_is_visible_before_and_after_save(tmp_path):
 def test_cache_concurrent_writers_keep_both_entries(tmp_path):
     cache_path = tmp_path / "cache.json"
     first, second = CountCache(cache_path), CountCache(cache_path)
-    first.put(CensusQuery(8), 67)
-    second.put(CensusQuery(9, max_depth=3), 105)
-    first.save()
-    second.save()
+    first.save(CensusQuery(8), 67)
+    second.save(CensusQuery(9, max_depth=3), 105)
     fresh = CountCache(cache_path)
     assert fresh.get(CensusQuery(8)) == 67
     assert fresh.get(CensusQuery(9, max_depth=3)) == 105
 
 
+def test_cache_lock_is_on_the_log_itself(tmp_path):
+    fcntl = pytest.importorskip("fcntl")
+    cache_path = tmp_path / "cache.json"
+    CountCache(cache_path).save(CensusQuery(7), 39)
+    done, report = os.pipe()
+    held = open(cache_path, "rb")
+    fcntl.flock(held, fcntl.LOCK_EX)
+    pid = os.fork()
+    if pid == 0:  # the child saves one record, then reports on the pipe
+        status = 1
+        try:
+            os.close(done)
+            held.close()  # its copy of the locked file would keep the lock past the parent's close
+            CountCache(cache_path).save(CensusQuery(8), 67)
+            os.write(report, b"done")
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(report)
+    try:
+        try:
+            assert select.select([done], [], [], 0.3)[0] == []  # the save waits on the log's lock
+        finally:
+            held.close()  # releases the lock
+        assert select.select([done], [], [], 10)[0] == [done]
+        assert os.read(done, 4) == b"done"
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(done)
+        status = os.waitpid(pid, 0)[1]
+    assert os.waitstatus_to_exitcode(status) == 0
+    fresh = CountCache(cache_path)
+    assert (fresh.get(CensusQuery(7)), fresh.get(CensusQuery(8))) == (39, 67)
+
+
 def test_cache_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     cache_path = tmp_path / "cache.json"
     cache = CountCache(cache_path)
-    cache.put(CensusQuery(8), 67)
-    cache.save()
+    cache.save(CensusQuery(8), 67)
 
     def boom(*args, **kwargs):
         raise RuntimeError("serialisation failed")
 
-    cache.put(CensusQuery(9), 118)
     monkeypatch.setattr(cli.json, "dump", boom)
     monkeypatch.setattr(cli.json, "dumps", boom)
     with pytest.raises(RuntimeError):
-        cache.save()
+        cache.save(CensusQuery(9), 118)
     monkeypatch.undo()
+    assert cache.get(CensusQuery(9)) is None  # a failed save answers nothing
     assert CountCache(cache_path).get(CensusQuery(8)) == 67
-    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []  # no temp file left
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]  # and no other file
 
 
 def test_cache_torn_append_keeps_every_whole_record(tmp_path, monkeypatch):
     cache_path = tmp_path / "cache.json"
     cache = CountCache(cache_path)
-    cache.put(CensusQuery(8), 67)
-    cache.save()
+    cache.save(CensusQuery(8), 67)
     write = cli.os.write
 
     def torn(fd, data):  # a crash mid-write: half the bytes reach the file
         write(fd, data[: len(data) // 2])
         raise OSError("write failed")
 
-    cache.put(CensusQuery(9), 118)
     monkeypatch.setattr(cli.os, "write", torn)
     with pytest.raises(OSError, match="write failed"):
-        cache.save()
+        cache.save(CensusQuery(9), 118)
     monkeypatch.undo()
     fresh = CountCache(cache_path)
     assert fresh.get(CensusQuery(8)) == 67
     assert fresh.get(CensusQuery(9)) is None
     # the next save's record is not glued to the torn line
-    fresh.put(CensusQuery(10), 204)
-    fresh.save()
+    fresh.save(CensusQuery(10), 204)
     fresh = CountCache(cache_path)
     assert (fresh.get(CensusQuery(8)), fresh.get(CensusQuery(9)), fresh.get(CensusQuery(10))) == (67, None, 204)
 
@@ -430,8 +461,7 @@ def test_cache_selfcheck(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
     cache = CountCache(cache_path)
     for g in (4, 6, 9):
-        cache.put(CensusQuery(g), count_gapsets(CensusQuery(g)).count)
-    cache.save()
+        cache.save(CensusQuery(g), count_gapsets(CensusQuery(g)).count)
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 0 and "3 entries verified" in out
     # poison one entry: selfcheck must fail with exit 3
@@ -444,9 +474,7 @@ def test_cache_selfcheck(tmp_path, capsys):
 
 def test_selfcheck_takes_no_query_flags(tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
-    cache = CountCache(cache_path)
-    cache.put(CensusQuery(7), 39)
-    cache.save()
+    CountCache(cache_path).save(CensusQuery(7), 39)
     flags = (("--genus", "7"), ("--depth", "2"), ("--max-depth", "3"), ("--mult", "3"),
              ("--format", "json"), ("--format", "csv"))
     for flag, value in flags:
@@ -481,9 +509,8 @@ def test_cache_selfcheck_random_queries(tmp_path, capsys):
         query = CensusQuery(g, depth=depth, max_depth=max_depth, mult=mult)
         if cache.get(query) is not None:
             continue
-        cache.put(query, count_gapsets(query).count)
+        cache.save(query, count_gapsets(query).count)
         seen += 1
-    cache.save()
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 0 and "100 entries verified" in out
 
@@ -574,7 +601,7 @@ def enumerate_queries():
 
 def query_flags(query):
     """The `enumerate` flags that ask for the query."""
-    values = zip(cli.QUERY_FIELDS, cli.query_key(query))
+    values = zip(cli.QUERY_FIELDS, dataclasses.astuple(query))
     return [arg for name, v in values if v is not None for arg in ("--" + name.replace("_", "-"), str(v))]
 
 
