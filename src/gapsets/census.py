@@ -147,9 +147,9 @@ def _census(
     """Gapsets by (genus, depth, modulus) for each genus from `low` up to
     the query's, as one flat list: cell (g, q, m) is at index ((g - low) *
     depths + q) * moduli + m, with the axis lengths of `_tally_axes`; only
-    the cells the query selects are complete.  `items` (if given) receives
-    the coordinates (k_1, ..., k_(m-1)) of each selected gapset, in the
-    lexicographic order of the composition walk.
+    the cells the query selects are complete.  `items` (if given, with
+    `low` the query's genus) receives the coordinates (k_1, ..., k_(m-1))
+    of each selected gapset, in the lexicographic order of the walk.
 
     Every coordinate is at most the cap; a node counts with pmin to pmax
     parts and grows below pmax; `first` (if set) fixes k_1, and shard 1
@@ -221,8 +221,6 @@ def _census(
                     k[m] = 1
                     if low < genus and (dv <= 3 or wraps(m + 1)):
                         tally[cell - plane] += 1
-                        if items is not None and query.selects(dv, m + 1):
-                            items.append(tuple(k[1 : m + 1]))
                     k[m + 1] = 1  # below an exact depth q, a cell the query does not select: no cut needed
                     if dv <= 3 or wraps(m + 2):
                         tally[cell + 1] += 1

@@ -178,7 +178,8 @@ class CountCache:
 
     A lookup goes through `index`, which maps a query's record prefix (its
     record up to the count) to the count's digits, as one regular
-    expression reads them off the file with no JSON parse.
+    expression reads them off the file with no JSON parse.  `selfcheck`
+    recounts each record the way a miss counts it, one query at a time.
     """
 
     HEADER = b'{"schema_version": 3}\n'
@@ -225,8 +226,8 @@ class CountCache:
         self.index[prefix] = b"%d" % count
 
     def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
-        """Check every record against one unfiltered census up to the largest
-        cached genus, which must pass the guard; returns mismatch
+        """Re-ask `count_gapsets` each record's query, as `count` does on a
+        miss, once their largest genus passes the guard; returns mismatch
         descriptions, the records that are not census queries first."""
         problems, checks = [], []
         for prefix, cached in self.index.items():
@@ -237,11 +238,9 @@ class CountCache:
                 checks.append((label, CensusQuery(**fields), int(cached)))
             except (ValueError, OverflowError):
                 problems.append(f"{label}: not a census query")
-        gmax = max((query.genus for _, query, _ in checks), default=0)
-        _guard("genus", gmax, GMAX_GUARD, force)
-        hists = census_histograms(CensusQuery(gmax), jobs, low=0)
+        _guard("genus", max((query.genus for _, query, _ in checks), default=0), GMAX_GUARD, force)
         for label, query, cached in checks:
-            if (fresh := query.count_in(hists[query.genus])) != cached:
+            if (fresh := count_gapsets(query, jobs).count) != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
         return problems
 

@@ -141,6 +141,13 @@ def test_cache_unknown_schema_ignored(tmp_path, capsys):
         assert read_cache(cache_path) == [{**record, "count": 67}], text  # and the file replaced
 
 
+def spy_on_count_gapsets(monkeypatch):
+    """The list of queries the CLI asks `count_gapsets` from now on, in order."""
+    asked, count_gapsets = [], cli.count_gapsets
+    monkeypatch.setattr(cli, "count_gapsets", lambda query, *a, **kw: asked.append(query) or count_gapsets(query, *a, **kw))
+    return asked
+
+
 def test_selfcheck_reports_non_integer_fields(tmp_path, capsys, monkeypatch):
     cache_path = tmp_path / "cache.json"
     entries = [
@@ -168,21 +175,33 @@ def test_selfcheck_reports_non_integer_fields(tmp_path, capsys, monkeypatch):
         canonical(30, 5, depth=3, max_depth=4): "genus=30 depth=3 max_depth=4 mult=None",
         canonical(64, 1): "genus=64 depth=None max_depth=None mult=None",
     }
-    asked = []
-    census_histograms = cli.census_histograms
-
-    def spy(query, *args, **kwargs):
-        asked.append(query)
-        return census_histograms(query, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "census_histograms", spy)
-    for lines, gmax in [([line], 0) for line in refused] + [([*refused, canonical(7, 39)], 7)]:
+    asked = spy_on_count_gapsets(monkeypatch)
+    for lines, queries in [([line], []) for line in refused] + [([*refused, canonical(7, 39)], [CensusQuery(7)])]:
         cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
         asked.clear()
         code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
         assert (code, err) == (3, ""), lines
         assert out.splitlines() == [f"{refused[line]}: not a census query" for line in lines if line in refused]
-        assert asked == [CensusQuery(gmax)], lines  # the census runs to the largest genus of a census query
+        assert asked == queries, lines  # each census query is asked once; a refused record never
+
+
+def test_selfcheck_asks_each_record_its_own_query(tmp_path, capsys, monkeypatch):
+    # what `count --genus 40 --depth 17 --force --cache PATH` writes, in well under a second:
+    # its check asks that one query again, and runs no census of the largest cached genus
+    cache_path = tmp_path / "cache.json"
+    cache_path.write_bytes(CountCache.HEADER + (canonical(40, 26, depth=17) + "\n").encode())
+    asked = spy_on_count_gapsets(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("selfcheck ran a census of its own")
+
+    monkeypatch.setattr(cli, "census_histograms", refuse)
+    code, out, err = run(capsys, "count", "--selfcheck", "--force", "--cache", str(cache_path))
+    assert (code, out, err) == (0, "cache ok: 1 entries verified\n", "")
+    assert asked == [CensusQuery(40, depth=17)]
+    asked.clear()
+    code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert code == 2 and out == "" and "--force" in err and asked == []
 
 
 def test_cache_never_serves_an_entry_selfcheck_rejects(tmp_path, capsys):
@@ -492,9 +511,10 @@ def test_selfcheck_guard(tmp_path, capsys):
 
 
 def test_cache_selfcheck_random_queries(tmp_path, capsys):
+    # each count is written off the unfiltered census, and selfcheck recounts it under its own filter
     import random
 
-    from gapsets.census import count_gapsets
+    from gapsets.census import census_histograms
 
     rng = random.Random(20240811)
     cache_path = tmp_path / "cache.json"
@@ -509,10 +529,18 @@ def test_cache_selfcheck_random_queries(tmp_path, capsys):
         query = CensusQuery(g, depth=depth, max_depth=max_depth, mult=mult)
         if cache.get(query) is not None:
             continue
-        cache.save(query, count_gapsets(query).count)
+        cache.save(query, query.count_in(census_histograms(CensusQuery(g))[g]))
         seen += 1
     code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
     assert code == 0 and "100 entries verified" in out
+    # poison one record: selfcheck names it and exits 3
+    records = read_cache(cache_path)
+    poisoned = records[rng.randrange(len(records))]
+    poisoned["count"] += 1
+    write_cache(cache_path, records)
+    label = " ".join(f"{f}={v}" for f, v in poisoned.items() if f != "count")
+    code, out, _ = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert (code, out) == (3, f"{label}: cached {poisoned['count']} != recomputed {poisoned['count'] - 1}\n")
 
 
 def test_verify_examples(capsys):
@@ -564,6 +592,8 @@ def test_kunz_and_from_kunz(capsys):
     assert code == 0 and out.strip() == "1,2,3,4,7,8,9,12,13"
     code, _, _ = run(capsys, "from-kunz", "--kunz", "3:0,1")
     assert code == 2
+    code, out, err = run(capsys, "kunz", "--set", "")  # the empty set's multiplicity is 1
+    assert code == 2 and out == "" and "modulus would be 1; pass --mult" in err
 
 
 def test_from_kunz_refuses_a_genus_above_the_cap(capsys, monkeypatch):
@@ -673,6 +703,8 @@ def test_table_t1(capsys):
 def test_table_guard(capsys):
     code, _, err = run(capsys, "table", "--which", "t4", "--gmax", "40")
     assert code == 2 and "--force" in err
+    code, out, err = run(capsys, "table", "--which", "t4", "--gmax", "3")
+    assert code == 2 and out == "" and "--gmax must be >= 4 for t4" in err
     code, out, err = run(capsys, "oeis", "--gmax", "40")
     assert code == 2 and out == "" and "--force" in err
     code, out, err = run(capsys, "oeis", "--gmax", "-1")
@@ -730,7 +762,7 @@ def test_seq_command(capsys):
         assert code == 2 and out == "" and "error:" in err, name
 
 
-def test_bfile_parser(tmp_path):
+def test_bfile_parser(tmp_path, capsys):
     entries = parse_bfile(bundled_bfile())
     assert entries[0] == 1
     assert entries[6] == 23
@@ -750,6 +782,11 @@ def test_bfile_parser(tmp_path):
     shuffled.write_text("3 4\n1 1\n")
     with pytest.raises(ValueError, match="strictly increasing"):
         parse_bfile(shuffled)
+
+    extra = tmp_path / "extra.txt"
+    extra.write_text("0 1\n1 1 7\n")
+    code, out, err = run(capsys, "oeis", "--bfile", str(extra), "--gmax", "4")
+    assert code == 2 and out == "" and "extra.txt:2: expected 'index value'" in err
 
 
 def test_oeis_match(capsys):
