@@ -176,37 +176,49 @@ class CountCache:
     lock on the file itself: a concurrent writer loses nothing, and a crash
     mid-write leaves at most a torn last line.
 
-    A lookup goes through `index`, which maps a query's record prefix (its
-    record up to the count) to the count's digits, as one regular
-    expression reads them off the file with no JSON parse.  `selfcheck`
-    recounts each record the way a miss counts it, one query at a time.
+    A lookup reads the one record it needs: `get` searches the log's bytes
+    backwards for the query's record prefix (its record up to the count) at
+    the start of a line, and takes the first hit that one regular expression
+    reads as a whole record, with no JSON parse, so the later record of a
+    query wins and a torn or foreign line is passed over.  Only `selfcheck`
+    indexes the whole log (`index`): it recounts every record the way a
+    miss counts it, one query at a time.
     """
 
     HEADER = b'{"schema_version": 3}\n'
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.index = self._load()
+        self.data = self._load()
 
-    def _load(self) -> dict[bytes, bytes]:
-        """The index of the file's records; empty if the file is missing,
-        unreadable or without the header."""
+    def _load(self) -> bytes:
+        """The file's bytes; empty if the file is missing, unreadable or
+        without the header."""
         try:
             data = self.path.read_bytes()
         except OSError:
-            return {}
-        if not data.startswith(self.HEADER):
-            return {}
-        return dict(_RECORD.findall(data, len(self.HEADER)))  # the later record of a query wins
+            return b""
+        return data if data.startswith(self.HEADER) else b""
+
+    @property
+    def index(self) -> dict[bytes, bytes]:
+        """Every record's prefix mapped to its count's digits, the later
+        record of a query winning."""
+        return dict(_RECORD.findall(self.data))
 
     def get(self, query: CensusQuery) -> Optional[int]:
-        count = self.index.get(_record_prefix(query))
-        return None if count is None else int(count)
+        prefix = _record_prefix(query)
+        data, start = self.data, b"\n" + prefix  # a line that starts with the prefix
+        at = len(data)
+        while (at := data.rfind(start, 0, at)) >= 0:
+            record = _RECORD.match(data, at + 1)
+            if record and record[1] == prefix:
+                return int(record[2])
+        return None
 
     def save(self, query: CensusQuery, count: int) -> None:
         """Append the query's record; `get` answers it at once."""
-        prefix = _record_prefix(query)
-        data = prefix + b"%d}\n" % count
+        data = _record_prefix(query) + b"%d}\n" % count
         fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | getattr(os, "O_BINARY", 0), 0o666)
         try:
             if fcntl is not None:  # without it the append goes unlocked; closing the fd unlocks
@@ -223,12 +235,15 @@ class CountCache:
                 view = view[os.write(fd, view) :]
         finally:
             os.close(fd)
-        self.index[prefix] = b"%d" % count
+        # another writer may have changed the file since the load, so the record
+        # starts a line of its own here whatever this copy ended with
+        self.data = data if data.startswith(self.HEADER) else self.data + b"\n" + data
 
-    def selfcheck(self, jobs: int = 1, force: bool = False) -> list[str]:
+    def selfcheck(self, jobs: int = 1, force: bool = False) -> tuple[int, list[str]]:
         """Re-ask `count_gapsets` each record's query, as `count` does on a
-        miss, once their largest genus passes the guard; returns mismatch
-        descriptions, the records that are not census queries first."""
+        miss, once their largest genus passes the guard; returns how many
+        records were recounted and the mismatch descriptions, the records
+        that are not census queries first."""
         problems, checks = [], []
         for prefix, cached in self.index.items():
             fields = json.loads(prefix + b"null}")  # the count is `cached`
@@ -242,7 +257,7 @@ class CountCache:
         for label, query, cached in checks:
             if (fresh := count_gapsets(query, jobs).count) != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
-        return problems
+        return len(checks), problems
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +392,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.selfcheck:
         if cache is None or args.format != "plain" or any(getattr(args, f) is not None for f in QUERY_FIELDS):
             raise ValueError("--selfcheck needs --cache and takes no query flags and no --format")
-        problems = cache.selfcheck(jobs=args.jobs, force=args.force)
+        verified, problems = cache.selfcheck(jobs=args.jobs, force=args.force)
         for p in problems:
             print(p)
         if problems:
             return EXIT_INTERNAL
-        print(f"cache ok: {len(cache.index)} entries verified")
+        print(f"cache ok: {verified} entries verified")
         return EXIT_OK
 
     query = _census_query(args)

@@ -375,6 +375,55 @@ def test_cache_save_answers_at_once_and_after_a_reload(tmp_path):
         assert CountCache(cache_path).get(CensusQuery(8)) == 67
 
 
+def test_cache_save_answers_at_once_whatever_the_file_held(tmp_path):
+    cache_path = tmp_path / "cache.json"
+    schema_2 = {"schema_version": 2, "entries": [{"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 1}]}
+    torn = CountCache.HEADER + (canonical(6, 23) + "\n" + canonical(8, 1)[:30]).encode()  # no newline at the end
+    # what the file held when this cache loaded it, and whether another writer saved before this cache did
+    cases = [(torn, False), (json.dumps(schema_2).encode(), False), (None, False), (torn, True), (None, True)]
+    for held, other_writer in cases:
+        cache_path.unlink(missing_ok=True)
+        if held is not None:
+            cache_path.write_bytes(held)
+        cache = CountCache(cache_path)
+        if other_writer:
+            CountCache(cache_path).save(CensusQuery(7), 39)
+        cache.save(CensusQuery(8), 67)
+        case = (held, other_writer)
+        assert cache.get(CensusQuery(8)) == 67, case
+        fresh = CountCache(cache_path)
+        assert fresh.get(CensusQuery(8)) == 67, case
+        assert fresh.get(CensusQuery(6)) == (23 if held == torn else None), case
+        assert fresh.get(CensusQuery(7)) == (39 if other_writer else None), case
+
+
+class NoWholeLogScan:
+    """`cli._RECORD` for a reader that may match a line where it stands but not index the log."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+
+    def match(self, *args):
+        return self.pattern.match(*args)
+
+    def findall(self, *args):
+        raise AssertionError("the whole log was indexed")
+
+
+def test_cache_hit_reads_only_its_own_record(tmp_path, monkeypatch):
+    cache_path = tmp_path / "cache.json"
+    filters = [(None, None), (0, None), (3, None), (None, 2), (None, 5)]
+    queries = [CensusQuery(g, d, q, m) for g in (7, 8, 9, 10) for d, q in filters for m in (None, 2, 3, 4, 5)]
+    cache = CountCache(cache_path)
+    for count, query in enumerate(queries):
+        cache.save(query, count)
+    assert len(read_lines(cache_path)) == 100
+    monkeypatch.setattr(cli, "_RECORD", NoWholeLogScan(cli._RECORD))
+    fresh = CountCache(cache_path)
+    assert [fresh.get(query) for query in queries] == list(range(100))
+    assert fresh.get(CensusQuery(11)) is None
+
+
 def test_cache_concurrent_writers_keep_both_entries(tmp_path):
     cache_path = tmp_path / "cache.json"
     first, second = CountCache(cache_path), CountCache(cache_path)
