@@ -26,10 +26,11 @@ census returns counts and coordinates only and imports no other module of
 the package: a caller that wants the sets builds them with
 `kunz.kunz_elements`.
 
-A sharded census splits the search by its first coordinate k_1.  The
-calling process and up to jobs - 1 forked children take the shards one at
-a time from a single pipe, so the work balances itself; each child sends
-its tally back over a pipe of its own, and the tallies add cell by cell.
+A sharded census splits the search by its first coordinate: shard k holds
+the gapsets with k_1 = k.  The calling process and up to jobs - 1 forked
+children take the shards one at a time from a single pipe that carries
+their first coordinates, so the work balances itself; each child sends its
+tally back over a pipe of its own, and the tallies add cell by cell.
 No process pool is started, and a platform without `os.fork` runs the
 census whole in the calling process.
 
@@ -115,14 +116,17 @@ class CensusResult:
     shards: int
 
 
-def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
+def _search_bounds(query: CensusQuery) -> tuple[int, int, int, int, int]:
     """The search's coordinate cap (the depth bound, else the genus, and
-    never above the genus) and part-count window (pmin, pmax).  A conductor
-    is at most 2g, so depth <= ceil(2g/m) at every genus g up to G.  A
-    multiplicity m fixes the window at m - 1 and caps every coordinate at
-    ceil(2G/m); an exact depth q >= 2 caps the window, since m <=
-    ceil(2G/(q - 1)) - 1.  With both, pmin > pmax when the depth rules m
-    out: nothing is searched."""
+    never above the genus), part-count window (pmin, pmax), and the lengths
+    of the tally's depth and modulus axes.  A conductor is at most 2g, so
+    depth <= ceil(2g/m) at every genus g up to G.  A multiplicity m fixes
+    the window at m - 1 and caps every coordinate at ceil(2G/m); an exact
+    depth q >= 2 caps the window, since m <= ceil(2G/(q - 1)) - 1.  With
+    both, pmin > pmax when the depth rules m out: nothing is searched.
+    Every coordinate is at most the cap, and every modulus at most pmax + 1,
+    or 2: the root places k_1 even when the depth rules every multiplicity
+    out."""
     bound = query.depth if query.depth is not None else query.max_depth
     cap = query.genus if bound is None else min(bound, query.genus)
     pmin, pmax = (1, query.genus) if query.mult is None else (query.mult - 1, query.mult - 1)
@@ -130,15 +134,7 @@ def _search_bounds(query: CensusQuery) -> tuple[int, int, int]:
         cap = min(cap, -(-2 * query.genus // query.mult))
     if (query.depth or 0) >= 2:
         pmax = min(pmax, -(-2 * query.genus // (query.depth - 1)) - 2)
-    return cap, pmin, pmax
-
-
-def _tally_axes(query: CensusQuery) -> tuple[int, int]:
-    """Lengths of the tally's depth and modulus axes.  Every coordinate is
-    at most the cap, and every modulus at most pmax + 1, or 2: the root
-    places k_1 even when the depth rules every multiplicity out."""
-    cap, _, pmax = _search_bounds(query)
-    return cap + 1, max(pmax, 1) + 2
+    return cap, pmin, pmax, cap + 1, max(pmax, 1) + 2
 
 
 def _census(
@@ -146,7 +142,7 @@ def _census(
 ) -> list[int]:
     """Gapsets by (genus, depth, modulus) for each genus from `low` up to
     the query's, as one flat list: cell (g, q, m) is at index ((g - low) *
-    depths + q) * moduli + m, with the axis lengths of `_tally_axes`; only
+    depths + q) * moduli + m, with the axis lengths of `_search_bounds`; only
     the cells the query selects are complete.  `items` (if given, with
     `low` the query's genus) receives the coordinates (k_1, ..., k_(m-1))
     of each selected gapset, in the lexicographic order of the walk.
@@ -162,8 +158,7 @@ def _census(
     k_m = 2 are counted in place, in walk order.
     """
     genus = query.genus
-    cap, pmin, pmax = _search_bounds(query)
-    depths, moduli = _tally_axes(query)
+    cap, pmin, pmax, depths, moduli = _search_bounds(query)
     plane = depths * moduli  # the cells of one genus
     base = low * plane  # cell (h, q, m) is tally[m - base + h * plane + q * moduli]
     child = genus * plane + 1  # ... and cell (G, q, m + 1) tally[m - base + child + q * moduli]
@@ -243,30 +238,28 @@ def _census(
     return tally
 
 
-def _shard_firsts(query: CensusQuery, jobs: int) -> list[Optional[int]]:
-    """First coordinates a census is sharded by; [None] runs it whole, as
-    it does for an empty part-count window (pmin > pmax), where the query
-    selects no gapset at any genus and a fork costs more than the search,
-    and without `os.fork`, where shards would only split one search."""
-    g = query.genus
-    cap, pmin, pmax = _search_bounds(query)
-    firsts = list(range(1, min(cap, g - pmin + 1) + 1))
-    return firsts if jobs > 1 and len(firsts) > 1 and pmin <= pmax and hasattr(os, "fork") else [None]
+def _shards(query: CensusQuery, jobs: int) -> int:
+    """How many shards a census is split into, shard k holding the first
+    coordinate k_1 = k; 1 runs it whole, as it does for an empty part-count
+    window (pmin > pmax), where the query selects no gapset at any genus
+    and a fork costs more than the search, and without `os.fork`, where
+    shards would only split one search."""
+    cap, pmin, pmax, _, _ = _search_bounds(query)
+    shards = min(cap, query.genus - pmin + 1)
+    return shards if jobs > 1 and shards > 1 and pmin <= pmax and hasattr(os, "fork") else 1
 
 
-def _take_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int) -> list[int]:
+def _take_shards(query: CensusQuery, low: int, tasks: int) -> list[int]:
     """The summed tallies of every shard this process takes from the task
-    pipe: one byte, a shard's index, per read, until the pipe is empty."""
-    depths, moduli = _tally_axes(query)
+    pipe: one byte, a shard's first coordinate, per read, until it is empty."""
+    _, _, _, depths, moduli = _search_bounds(query)
     tally = [0] * ((query.genus - low + 1) * depths * moduli)
-    while index := os.read(tasks, 1):
-        tally = list(map(add, tally, _census(query, low, firsts[index[0]])))
+    while first := os.read(tasks, 1):
+        tally = list(map(add, tally, _census(query, low, first[0])))
     return tally
 
 
-def _shard_worker(
-    query: CensusQuery, low: int, firsts: list[Optional[int]], tasks: int, into: int, inherited: tuple[int, ...]
-) -> NoReturn:
+def _shard_worker(query: CensusQuery, low: int, tasks: int, into: int, inherited: tuple[int, ...]) -> NoReturn:
     """A forked child's whole life: close the result pipes' read ends it
     inherited, take shards, send their tally as one marshalled list, and
     leave with status 0, or 1 on any failure, without returning into the
@@ -275,7 +268,7 @@ def _shard_worker(
     try:
         for fd in inherited:  # with no reader but the parent, a write after its death fails
             os.close(fd)
-        payload = memoryview(marshal.dumps(_take_shards(query, low, firsts, tasks)))
+        payload = memoryview(marshal.dumps(_take_shards(query, low, tasks)))
         while payload:  # a pipe may take fewer bytes than asked
             payload = payload[os.write(into, payload) :]
         status = 0
@@ -287,13 +280,14 @@ def _shard_worker(
         os._exit(status)
 
 
-def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], workers: int) -> list[int]:
-    """The shards' summed tally, from this process and workers - 1 forked
-    children pulling shard indices from one pipe.  A child that fails
-    raises ChildProcessError; on any error, this process's own included,
-    every child still running is killed, and every child is reaped."""
+def _census_shards(query: CensusQuery, low: int, shards: int, workers: int) -> list[int]:
+    """The summed tally of shards 1..`shards`, from this process and
+    workers - 1 forked children pulling first coordinates from one pipe.
+    A child that fails raises ChildProcessError; on any error, this
+    process's own included, every child still running is killed, and
+    every child is reaped."""
     tasks, feed = os.pipe()
-    os.write(feed, bytes(range(len(firsts))))  # at most MAX_GENUS bytes: one write, below PIPE_BUF
+    os.write(feed, bytes(range(1, shards + 1)))  # at most MAX_GENUS bytes: one write, below PIPE_BUF
     os.close(feed)  # the readers see the end of the tasks once they are taken
     children: dict[int, int] = {}  # pid -> the read end of its result pipe, until reaped
     try:
@@ -306,10 +300,10 @@ def _census_shards(query: CensusQuery, low: int, firsts: list[Optional[int]], wo
                 os.close(into)
                 raise
             if pid == 0:
-                _shard_worker(query, low, firsts, tasks, into, (out, *children.values()))
+                _shard_worker(query, low, tasks, into, (out, *children.values()))
             os.close(into)
             children[pid] = out
-        tally = _take_shards(query, low, firsts, tasks)
+        tally = _take_shards(query, low, tasks)
         for pid, out in list(children.items()):
             chunks = []
             while chunk := os.read(out, 1 << 16):
@@ -342,12 +336,12 @@ def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = No
     low = query.genus if low is None else low
     if not 0 <= low <= query.genus:
         raise ValueError(f"low genus must be in 0..{query.genus}, got {low}")
-    firsts = _shard_firsts(query, jobs)
-    if len(firsts) == 1:
-        tally = _census(query, low, firsts[0])
+    shards = _shards(query, jobs)
+    if shards == 1:
+        tally = _census(query, low)
     else:
-        tally = _census_shards(query, low, firsts, min(jobs, len(firsts)))
-    depths, moduli = _tally_axes(query)
+        tally = _census_shards(query, low, shards, min(jobs, shards))
+    _, _, _, depths, moduli = _search_bounds(query)
     hists = {g: Counter() for g in range(low, query.genus + 1)}
     for index, n in enumerate(tally):  # in (genus, depth, modulus) order, so each Counter's is fixed
         if n:
@@ -372,7 +366,7 @@ def count_gapsets(query: CensusQuery, jobs: int = 1) -> CensusResult:
     `census_histograms` histogram."""
     t0 = time.perf_counter()
     total = sum(census_histograms(query, jobs)[query.genus].values())
-    return CensusResult(total, time.perf_counter() - t0, len(_shard_firsts(query, jobs)))
+    return CensusResult(total, time.perf_counter() - t0, _shards(query, jobs))
 
 
 def count_gapsets_depth_at_most(g: int, k: int) -> int:

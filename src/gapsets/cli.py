@@ -176,20 +176,20 @@ class CountCache:
     lock on the file itself: a concurrent writer loses nothing, and a crash
     mid-write leaves at most a torn last line.
 
-    A lookup reads the one record it needs: `get` searches the log's bytes
-    backwards for the query's record prefix (its record up to the count) at
-    the start of a line, and takes the first hit that one regular expression
-    reads as a whole record, with no JSON parse, so the later record of a
-    query wins and a torn or foreign line is passed over.  Only `selfcheck`
-    indexes the whole log (`index`): it recounts every record the way a
-    miss counts it, one query at a time.
+    `get` and `index` read the file at each call, so they see every record
+    any writer has saved.  A lookup reads the one record it needs: `get`
+    searches the log's bytes backwards for the query's record prefix (its
+    record up to the count) at the start of a line, and takes the first hit
+    that one regular expression reads as a whole record, with no JSON
+    parse, so the later record of a query wins and a torn or foreign line
+    is passed over.  Only `selfcheck` indexes the whole log (`index`): it
+    recounts every record the way a miss counts it, one query at a time.
     """
 
     HEADER = b'{"schema_version": 3}\n'
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.data = self._load()
 
     def _load(self) -> bytes:
         """The file's bytes; empty if the file is missing, unreadable or
@@ -204,11 +204,11 @@ class CountCache:
     def index(self) -> dict[bytes, bytes]:
         """Every record's prefix mapped to its count's digits, the later
         record of a query winning."""
-        return dict(_RECORD.findall(self.data))
+        return dict(_RECORD.findall(self._load()))
 
     def get(self, query: CensusQuery) -> Optional[int]:
         prefix = _record_prefix(query)
-        data, start = self.data, b"\n" + prefix  # a line that starts with the prefix
+        data, start = self._load(), b"\n" + prefix  # a line that starts with the prefix
         at = len(data)
         while (at := data.rfind(start, 0, at)) >= 0:
             record = _RECORD.match(data, at + 1)
@@ -235,9 +235,6 @@ class CountCache:
                 view = view[os.write(fd, view) :]
         finally:
             os.close(fd)
-        # another writer may have changed the file since the load, so the record
-        # starts a line of its own here whatever this copy ended with
-        self.data = data if data.startswith(self.HEADER) else self.data + b"\n" + data
 
     def selfcheck(self, jobs: int = 1, force: bool = False) -> tuple[int, list[str]]:
         """Re-ask `count_gapsets` each record's query, as `count` does on a

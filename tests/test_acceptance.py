@@ -5,13 +5,13 @@ plain `pytest -s tests/test_acceptance.py` reads as a checklist.  All
 comparisons are exact (integer equality); there are no tolerances to tune.
 """
 
-import functools
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from census_oracles import N_G, census_fgqm, census_hist, semigroup_tree_histograms
 from gapsets.census import (
     CensusQuery,
     census_histograms,
@@ -39,7 +39,6 @@ from gapsets.tilings import (
 
 GMAX = 18
 
-N_G = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467]
 N_PRIME = [1, 1, 2, 4, 6, 11, 20, 33, 57, 99, 168, 287, 487, 824, 1395, 2351, 3954, 6636, 11116]
 
 # exact F(g,q,4) grid for g in [3,12]: {(q, g): count}, everything else 0
@@ -81,16 +80,6 @@ TABLE3_UPPER = {  # g: (M=4, M=3, M=2)
     6: (28, 27, 30), 7: (50, 58, 62), 8: (112, 111, 126), 9: (216, 239, 249),
     10: (413, 468, 505),
 }
-
-
-@functools.cache
-def census_hist(g, mult=None):
-    """The census's genus-g (depth, multiplicity) histogram, of one multiplicity if `mult` is set."""
-    return census_histograms(CensusQuery(g, mult=mult))[g]
-
-
-def census_fgqm(g, q, m):
-    return census_hist(g, m)[q, m]
 
 
 @pytest.fixture(scope="module")
@@ -273,8 +262,10 @@ def test_extra_fibonacci_like_growth():
 
 @pytest.mark.slow
 def test_extra_a007323_and_fibonacci_like_growth_to_genus_24():
-    # opt-in (pytest -m slow), about 3.5 s: one census to g = 24 against the
-    # bundled b-file and the published terms 19..24 the benchmark ships
+    # opt-in (pytest -m slow), about 4.5 s: one census to g = 24 against the
+    # bundled b-file and the published terms 19..24 the benchmark ships, and
+    # its every (depth, multiplicity) cell to g = 22 against the semigroup
+    # tree (about 3 s of it)
     terms = parse_bfile(bundled_bfile())
     terms |= parse_bfile(Path(__file__).parents[1] / "perfbench" / "data" / "a007323_ext.txt")
     hists = census_histograms(CensusQuery(24), low=0)
@@ -283,7 +274,10 @@ def test_extra_a007323_and_fibonacci_like_growth_to_genus_24():
     assert ng == [terms[g] for g in range(25)]
     for seq in (ng, nprime):
         assert all(seq[g] >= seq[g - 1] + seq[g - 2] for g in range(2, 25)), seq
-    print("PASS extra: n_g matches A007323 and n_g, n'_g are at least Fibonacci-like for g <= 24")
+    for g, hist in enumerate(semigroup_tree_histograms(22)):
+        assert hists[g] == +hist, g
+    print("PASS extra: n_g matches A007323 and n_g, n'_g are at least Fibonacci-like for g <= 24; "
+          "every (genus, depth, multiplicity) cell matches the semigroup tree for g <= 22")
 
 
 def test_extra_finite_monotone_growth():

@@ -4,12 +4,13 @@
 `CountCache`'s `_load` and `save` from the class's own `__dict__`; its
 `run_probes` calls a few library functions that no CLI path uses;
 `perfbench/workloads.py` builds the argv of every op it runs.  A rename,
-deletion or flag change would only show when the benchmark runs; these
-tests make it show in the suite.
+deletion, signature or flag change would only show when the benchmark
+runs; these tests make it show in the suite.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,11 @@ def test_traced_cache_methods_resolve():
 def test_probed_names_resolve():
     for module_name, name in PROBED:
         assert callable(getattr(importlib.import_module(module_name), name, None)), f"{module_name}.{name}"
+
+
+def test_probes_run():
+    probes = load("tracing").run_probes(6, 6)  # the census-sharded probe and every other at genus 6
+    assert probes and all(type(v) is float and math.isfinite(v) for v in probes.values()), probes
 
 
 def test_workload_argvs_parse():

@@ -1,10 +1,10 @@
 import os
 import select
 from collections import Counter
-from itertools import count
 
 import pytest
 
+from census_oracles import N_G, semigroup_tree_histograms
 from gapsets.census import (
     CensusQuery,
     census_coords,
@@ -17,8 +17,6 @@ from gapsets.formulas import lower_bound_depth3
 from gapsets.kunz import coords_violation, kunz_elements, satisfies_kunz_system
 from gapsets.sequences import fibonacci, fibonacci_k, padovan
 from gapsets.tilings import enumerate_compositions, enumerate_depth3_family
-
-NG = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467]
 
 
 def q(g, depth=None, max_depth=None, mult=None):
@@ -96,7 +94,7 @@ def test_partition_consistency():
             if coords_violation(c) is None:
                 by_depth[max(c)] += 1
                 by_depth_mult[(max(c), len(c) + 1)] += 1
-        assert sum(by_depth.values()) == NG[g]
+        assert sum(by_depth.values()) == N_G[g]
         assert sum(by_depth.values()) == count_gapsets(q(g)).count
         assert census_histograms(q(g))[g] == by_depth_mult
         for depth, n in by_depth.items():
@@ -157,7 +155,7 @@ def test_sharded_equals_unsharded():
         for jobs in (2, 3):
             assert census_histograms(q(16, **f), jobs=jobs, low=0) == whole, (f, jobs)
     r = count_gapsets(q(13), jobs=3)
-    assert r.count == NG[13]
+    assert r.count == N_G[13]
     assert r.shards == 13
 
 
@@ -214,7 +212,11 @@ def test_forks_never_outnumber_the_shards(forks):
     expected = census_histograms(q(10), jobs=1)[10]
     assert forks == []
     assert census_histograms(q(10), jobs=10_000)[10] == expected
-    assert len(forks) == len(census._shard_firsts(q(10), 10_000)) - 1  # the caller counts too
+    assert len(forks) == census._shards(q(10), 10_000) - 1  # the caller counts too
+    assert_no_child_left()
+    forks.clear()
+    r = count_gapsets(q(63, mult=2), jobs=2)  # shards k_1 = 1..63: the pipe's largest byte is MAX_GENUS
+    assert (r.count, r.shards, len(forks)) == (1, 63, 1)
     assert_no_child_left()
 
 
@@ -296,7 +298,7 @@ def test_collect_matches_count_and_order():
     # every gapset built from its coordinates, each field, independently verified by the definitional check
     for g in range(13):
         coords = census_coords(q(g))
-        assert len(coords) == NG[g]
+        assert len(coords) == N_G[g]
         for k in coords:
             item = classify_gapset(kunz_elements(k))
             assert isinstance(item, GapSet) and item.genus == g
@@ -386,27 +388,6 @@ def test_mult_histograms_are_the_selected_cells():
         for m in range(2, G + 2):
             for g, hist in census_histograms(q(G, mult=m), low=0).items():
                 assert hist == Counter({(d, k): n for (d, k), n in full[g].items() if k == m}), (G, m, g)
-
-
-def semigroup_tree_histograms(gmax):
-    """(depth, multiplicity) histograms by genus from the tree of numerical
-    semigroups: a node's children remove one of its minimal generators
-    above its Frobenius number.  No Kunz coordinates, no compositions."""
-    hists = [Counter() for _ in range(gmax + 1)]
-
-    def grow(gaps, frobenius):
-        m = next(s for s in count(1) if s not in gaps)
-        conductor = frobenius + 1
-        hists[len(gaps)][-(-conductor // m), m] += 1
-        if len(gaps) == gmax:
-            return
-        # a generator is at most conductor + m - 1; x > frobenius lies in S
-        for x in range(max(frobenius + 1, 1), conductor + m + 1):
-            if all(a in gaps or x - a in gaps for a in range(1, x // 2 + 1)):
-                grow(gaps | {x}, x)
-
-    grow(frozenset(), -1)
-    return hists
 
 
 def test_semigroup_tree_agrees_with_the_census():

@@ -434,6 +434,15 @@ def test_cache_concurrent_writers_keep_both_entries(tmp_path):
     assert fresh.get(CensusQuery(9, max_depth=3)) == 105
 
 
+def test_cache_reads_records_another_writer_saved(tmp_path):
+    cache_path = tmp_path / "cache.json"
+    cache = CountCache(cache_path)
+    cache.save(CensusQuery(7), 39)
+    CountCache(cache_path).save(CensusQuery(8), 67)
+    assert cache.get(CensusQuery(8)) == 67
+    assert cache.index == {cli._record_prefix(CensusQuery(q)): n for q, n in ((7, b"39"), (8, b"67"))}
+
+
 def test_cache_lock_is_on_the_log_itself(tmp_path):
     fcntl = pytest.importorskip("fcntl")
     cache_path = tmp_path / "cache.json"

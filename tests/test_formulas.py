@@ -1,7 +1,6 @@
-import functools
-
 import pytest
 
+from census_oracles import census_fgqm, census_hist
 from gapsets.census import CensusQuery, census_histograms, count_gapsets, count_gapsets_depth_at_most
 from gapsets.core import GapSet, classify_gapset
 from gapsets.formulas import (
@@ -15,16 +14,6 @@ from gapsets.formulas import (
     upper_bound_ng_closedN,
 )
 from gapsets.kunz import KunzVector, from_kunz
-
-
-@functools.cache
-def census_hist(g, mult=None):
-    """The census's genus-g (depth, multiplicity) histogram, of one multiplicity if `mult` is set."""
-    return census_histograms(CensusQuery(g, mult=mult))[g]
-
-
-def census_fgqm(g, q, m):
-    return census_hist(g, m)[q, m]
 
 
 def census_fgq(g, q):
