@@ -4,24 +4,29 @@ One engine enumerates Kunz coordinate vectors as a depth-first search that
 places coordinates left to right; each node is a candidate gapset of genus
 equal to its coordinate sum, so the search up to genus G passes through
 every lower genus too.  Coordinates are capped by k_(i+j) <= k_i + k_j
-(i + j < m), which binds on every prefix; the wrap-around pairs (i + j > m)
-are checked at the nodes counted, and only at depth 4 or more, the only
-depths where one can fail.  Each node is counted in place, as the search
-reaches it, into one flat list of ints indexed by (genus, depth,
-modulus); the running depth is passed down, not recomputed.  A cap of 1
-or 2 skips the scan of the pairs (each sums to 2 or more).  The search's
-last two levels get no call of their own: a node one genus short has its
-only child, k_m = 1, counted in place, and so does a node two genus short
-(inside the window, with a cap of 2 or more) its children k_m = 1, that
-one's only child, and k_m = 2.  A depth filter caps every coordinate, and
-one window bounds their number.  The conductor is at most 2g, so depth <=
-ceil(2g/m): a multiplicity m fixes the window at m - 1 and caps every
-coordinate at ceil(2G/m), and an exact depth q >= 2 caps the window.  An
-exact depth q also cuts every branch still below q with less than q of
-the genus left.  Two entry points run it: `census_histograms`
-returns the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
-selects, one per genus, and `census_coords` their Kunz coordinates, one
-tuple each.  Counts are exact; `MAX_GENUS` keeps them in 64 bits.  The
+(i + j < m), which binds on every prefix.  The wrap-around pairs
+k_(i+j-m) <= k_i + k_j + 1 (i + j > m) bind only the node of modulus m
+itself, and they set a floor on its last coordinate: of the pairs of one
+k_t only (t + 1, m - 1) holds k_(m-1), and a pair without it that fails
+rules out every value.  The floor is computed once for all the siblings
+the search places at one position, from the coordinates of 4 or more
+only, since no smaller k_t can fail a pair.  Each node is counted in
+place, as the search reaches it, into one flat list of ints indexed by
+(genus, depth, modulus); the running depth is passed down, not
+recomputed.  A cap of 1 or 2 skips the scan of the forward pairs (each
+sums to 2 or more).  The search's last two levels get no call of their
+own: a node one genus short has its only child, k_m = 1, counted in
+place, and so does a node two genus short (inside the window, with a cap
+of 2 or more) its children k_m = 1, that one's only child, and k_m = 2.
+A depth filter caps every coordinate, and one window bounds their
+number.  The conductor is at most 2g, so depth <= ceil(2g/m): a
+multiplicity m fixes the window at m - 1 and caps every coordinate at
+ceil(2G/m), and an exact depth q >= 2 caps the window.  An exact depth q
+also cuts every branch still below q with less than q of the genus
+left.  Two entry points run it: `census_histograms` returns the (depth,
+multiplicity) histograms of the gapsets a `CensusQuery` selects, one per
+genus, and `census_coords` their Kunz coordinates, one tuple each.
+Counts are exact; `MAX_GENUS` keeps them in 64 bits.  The
 census returns counts and coordinates only and imports no other module of
 the package: a caller that wants the sets builds them with
 `kunz.kunz_elements`.
@@ -103,11 +108,6 @@ class CensusQuery:
             and (self.mult is None or mult == self.mult)
         )
 
-    def count_in(self, hist: Counter) -> int:
-        """Sum of the selected cells of a (depth, multiplicity) histogram
-        of one genus, as `census_histograms` returns it."""
-        return sum(n for (q, m), n in hist.items() if self.selects(q, m))
-
 
 @dataclass(frozen=True)
 class CensusResult:
@@ -150,12 +150,20 @@ def _census(
     Every coordinate is at most the cap; a node counts with pmin to pmax
     parts and grows below pmax; `first` (if set) fixes k_1, and shard 1
     also owns the empty gapset.  Position p is capped by k_i + k_(p-i)
-    whatever the final length (scanned for caps of 3 or more); only nodes
-    of genus `low` or more pay the wrap-around check.  A node of genus
-    G - 1 gets no call: its one child, k_m = 1, is counted in place.  Nor
-    does a node of genus G - 2 inside the window with a cap of 2 or more:
-    its children k_m = 1 (with that one's only child, k_(m+1) = 1) and
-    k_m = 2 are counted in place, in walk order.
+    whatever the final length (scanned for caps of 3 or more).  `deep` is
+    the stack of the positions whose coordinate is 4 or more: a loop
+    pushes its position once its value reaches 4 and pops it when done.
+    `floor(m)` scans only those k_t for the wrap-around pairs of modulus
+    m and returns the least k_(m-1) they allow, or a value above any cap
+    when a pair without k_(m-1) fails.  The loop at position p calls it
+    at most once, for its first node of genus `low` or more, and only
+    with `deep` non-empty; each node then counts if its value is at
+    least that floor.  A node of genus G - 1 gets no call: its one child,
+    k_m = 1, is counted in place, against `floor(m + 1)`.  Nor does a
+    node of genus G - 2 inside the window with a cap of 2 or more: its
+    children k_m = 1 (with that one's only child, k_(m+1) = 1, against
+    `floor(m + 2)`) and k_m = 2 are counted in place, in walk order, both
+    values of k_m against one `floor(m + 1)`.
     """
     genus = query.genus
     cap, pmin, pmax, depths, moduli = _search_bounds(query)
@@ -168,14 +176,25 @@ def _census(
     tally = [0] * ((genus - low + 1) * plane)
     k = [0] * (genus + 2)  # k[i] is the coordinate of residue i; k[1:m] the node's
 
-    def wraps(m: int) -> bool:
-        # each wrap-around pair i + j = m + t needs k_t <= k_i + k_j + 1: only a k_t >= 4 can fail
-        for t in range(1, m - 1):
-            if k[t] > 3:
-                for i in range(t + 1, (m + t) // 2 + 1):
-                    if k[i] + k[m + t - i] + 1 < k[t]:
-                        return False
-        return True
+    deep: list[int] = []  # the positions t, ascending, with k_t >= 4: only such a k_t can fail a wrap-around pair
+    over = genus + 1  # above any cap
+
+    def floor(m: int) -> int:
+        # the least k_(m-1) that passes every wrap-around pair i + j = m + t, k_t <= k_i + k_j + 1, given
+        # k_1 ... k_(m-2) (`deep` holds no position past m - 2); `over` if a pair without k_(m-1) fails
+        least = 0
+        for t in deep:
+            kt = k[t] - 1
+            if t == m - 2:  # the pair (m - 1, m - 1)
+                need = (kt + 1) // 2
+            else:  # the pair (t + 1, m - 1), then the pairs that hold no k_(m-1)
+                need = kt - k[t + 1]
+                for i in range(t + 2, (m + t) // 2 + 1):
+                    if k[i] + k[m + t - i] < kt:
+                        return over
+            if need > least:
+                least = need
+        return least
 
     def grow(p: int, g: int, d: int) -> None:
         m = p + 1  # the modulus of the nodes placed at position p
@@ -191,14 +210,21 @@ def _census(
             lo = 1
         if p == 1 and first is not None:
             lo, hi = max(lo, first), min(hi, first)
-        counted = low if p >= pmin else genus + 1  # nodes placed here count from this genus
-        growing = genus if p < pmax else 0  # ... and have children below this one
+        counted = (low if p >= pmin else genus + 1) - g  # a node placed here counts from this value ...
+        if deep and counted <= hi:
+            least = floor(m)  # ... and from the floor up
+            if least > counted:
+                counted = least
+        growing = genus if p < pmax else 0  # it has children below this genus
+        deeper = lo if lo > 4 else 4  # v only grows: from this value on, p is on `deep`
         at = m - base
         for v in range(lo, hi + 1):
             k[p] = v
+            if v == deeper:
+                deep.append(p)
             h = g + v
             dv = v if v > d else d
-            if h >= counted and (dv <= 3 or wraps(m)):
+            if v >= counted:
                 tally[at + h * plane + dv * moduli] += 1
                 if items is not None and query.selects(dv, m):
                     items.append(tuple(k[1:m]))
@@ -207,28 +233,31 @@ def _census(
                     grow(m, h, dv)
                 elif h > short:  # its only child, k_m = 1, counted in place (the hi cut keeps m >= pmin)
                     k[m] = 1
-                    if dv <= 3 or wraps(m + 1):
+                    if not deep or floor(m + 1) <= 1:
                         tally[at + child + dv * moduli] += 1
                         if items is not None and query.selects(dv, m + 1):
                             items.append(tuple(k[1 : m + 1]))
                 elif cap > 1 and pmin <= m < pmax:  # k_m = 1, its only child k_(m+1) = 1, then k_m = 2
-                    cell = at + child + dv * moduli  # (G, dv, m + 1); every pair allows a 1 or a 2
+                    cell = at + child + dv * moduli  # (G, dv, m + 1); every forward pair allows a 1 or a 2
+                    least = floor(m + 1) if deep else 0  # the least k_m
                     k[m] = 1
-                    if low < genus and (dv <= 3 or wraps(m + 1)):
+                    if low < genus and least <= 1:
                         tally[cell - plane] += 1
                     k[m + 1] = 1  # below an exact depth q, a cell the query does not select: no cut needed
-                    if dv <= 3 or wraps(m + 2):
+                    if not deep or floor(m + 2) <= 1:
                         tally[cell + 1] += 1
                         if items is not None and query.selects(dv, m + 2):
                             items.append(tuple(k[1 : m + 2]))
                     k[m] = 2
                     dv = dv if dv > 2 else 2
-                    if dv <= 3 or wraps(m + 1):
+                    if least <= 2:
                         tally[at + child + dv * moduli] += 1
                         if items is not None and query.selects(dv, m + 1):
                             items.append(tuple(k[1 : m + 1]))
                 else:
                     grow(m, h, dv)
+        if hi >= deeper:
+            deep.pop()
 
     if low == 0 and first in (None, 1):  # under any filter: the histograms filter its cell (0, 0, 1)
         tally[1] += 1

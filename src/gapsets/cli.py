@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -307,6 +308,15 @@ TABLES = {
 }
 
 
+def _depth_sums(hist: Counter) -> Counter:
+    """One genus's (depth, multiplicity) histogram summed over the
+    multiplicities: depth -> count."""
+    sums: Counter = Counter()
+    for (q, _), n in hist.items():
+        sums[q] += n
+    return sums
+
+
 def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[list[str]]]:
     """Header and cell rows for one of the four tables, fully recomputed.
 
@@ -316,7 +326,8 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
     genera = range(spec.first_genus, gmax + 1)
     hists = census_histograms(CensusQuery(gmax, mult=spec.mult), jobs, low=spec.first_genus)
     ng = {g: sum(hist.values()) for g, hist in hists.items()}
-    nprime = {g: CensusQuery(g, max_depth=3).count_in(hist) for g, hist in hists.items()}
+    by_depth = {g: _depth_sums(hist) for g, hist in hists.items()}
+    nprime = {g: sum(sums[q] for q in range(4)) for g, sums in by_depth.items()}
 
     if which == "t1":
         header = ["g", "2F_g", "F_{g+2}-P_{g+1}", "n'_{g-1}+n'_{g-2}", "n'_g", "n_g"]
@@ -358,7 +369,7 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
                 elif q > g or (q == 0 and g > 0):
                     cells.append("")
                 else:
-                    n = CensusQuery(g, depth=q).count_in(hists[g])
+                    n = by_depth[g][q]
                     # bold marks the entries the closed formulas reach
                     cells.append(f"**{n}**" if f_gq(g, q).covered else str(n))
             rows.append(cells + [str(ng[g])])
@@ -552,7 +563,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     _guard("genus", g, GMAX_GUARD, args.force)
     lower = lower_bound_depth3(g)
     hist = census_histograms(CensusQuery(g), args.jobs)[g]
-    nprime = CensusQuery(g, max_depth=3).count_in(hist)
+    sums = _depth_sums(hist)
+    nprime = sum(sums[q] for q in range(4))
     ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
     ubs = {M: upper_bound_ng(g, M, hist) for M in ms}

@@ -27,14 +27,19 @@ def census_fgqm(g, q, m):
     return census_hist(g, m)[q, m]
 
 
-def semigroup_tree_histograms(gmax):
+def semigroup_tree_histograms(gmax, max_mult=None):
     """(depth, multiplicity) histograms by genus from the tree of numerical
     semigroups: a node's children remove one of its minimal generators
-    above its Frobenius number.  No Kunz coordinates, no compositions."""
+    above its Frobenius number.  No Kunz coordinates, no compositions.
+    With `max_mult` set only the semigroups of that multiplicity or less
+    are visited: a child's multiplicity is never below its parent's, so
+    the cut drops whole subtrees."""
     hists = [Counter() for _ in range(gmax + 1)]
 
     def grow(gaps, frobenius):
         m = next(s for s in count(1) if s not in gaps)
+        if max_mult is not None and m > max_mult:
+            return
         conductor = frobenius + 1
         hists[len(gaps)][-(-conductor // m), m] += 1
         if len(gaps) == gmax:

@@ -397,10 +397,31 @@ def test_semigroup_tree_agrees_with_the_census():
         # the depth and multiplicity filters, each pruning the search its own way
         shapes = [q(g, max_depth=3), q(g, max_depth=4), q(g, mult=max(2, g // 2 + 1))]
         for f in shapes + [q(g, depth=d) for d in range(g + 1)]:
-            assert sum(census_histograms(f)[g].values()) == f.count_in(hist), f
+            assert sum(census_histograms(f)[g].values()) == sum(n for c, n in hist.items() if f.selects(*c)), f
     assert census_histograms(q(16), low=0) == {g: +hist for g, hist in enumerate(tree)}
     # one filtered pass from genus 0, whose last two levels are counted in place, cell by cell
     for f in one_pass_filters(16):
         query = q(16, **f)
         want = {g: Counter({c: n for c, n in hist.items() if query.selects(*c)}) for g, hist in enumerate(tree)}
         assert census_histograms(query, low=0) == want, f
+
+
+def test_semigroup_tree_agrees_with_every_small_multiplicity_cell_to_genus_63():
+    # the tree cut at multiplicity 5 visits only those semigroups (about 0.6 s)
+    tree = semigroup_tree_histograms(63, max_mult=5)
+    for m in range(2, 6):
+        hists = census_histograms(q(63, mult=m), low=0)
+        for g, hist in enumerate(tree):
+            assert hists[g] == Counter({c: n for c, n in hist.items() if c[1] == m}), (g, m)
+    # one-genus runs, where `low` prunes the search
+    for g, m in [(63, 5), (63, 2), (50, 4), (41, 3), (37, 5)]:
+        assert census_histograms(q(g, mult=m)) == {g: Counter({c: n for c, n in tree[g].items() if c[1] == m})}
+
+
+def test_the_last_coordinate_paired_with_itself_bounds_it_from_below():
+    # (4, 8, 3) fails only the wrap-around pair (3, 3): k_2 = 8 > 2 k_3 + 1
+    assert coords_violation((4, 8, 3)) == (3, 3) and sum((4, 8, 3)) == 15
+    assert coords_violation((4, 8, 4)) is None
+    for mult in (4, None):
+        assert (4, 8, 3) not in census_coords(q(15, mult=mult))
+        assert (4, 8, 4) in census_coords(q(16, mult=mult))
