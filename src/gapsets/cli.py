@@ -166,71 +166,52 @@ def _record_prefix(query: CensusQuery) -> bytes:
 class CountCache:
     """Append-only JSON Lines cache of census counts.
 
-    The file is the header line `{"schema_version": 3}`, then one record per
-    line: a query's fields and its `count`.  A line is a record only when
-    it is spelled as `save` spells it (`_RECORD`); any other line, a torn
-    one included, is skipped, so it is never served and never checked.  A
-    later record of a query supersedes every earlier one.  A file without
-    the header (another schema, such as the single document of schema 2) is
-    ignored wholesale (recompute instead of migrating) and replaced by the
-    next save.  `save` appends one record in one write, under an exclusive
-    lock on the file itself: a concurrent writer loses nothing, and a crash
-    mid-write leaves at most a torn last line.
+    A record is one line, after a newline: a query's fields and its
+    `count`, spelled as `save` spells it (`_RECORD`), and that spelling is
+    the cache's whole schema.  Any other line (torn, of an older format,
+    anything else the file held) is skipped: never served, never checked,
+    and its query is recomputed once.  A later record of a query supersedes
+    every earlier one.  `save` appends one newline-led record in one write,
+    under an exclusive lock on the file itself, and never reads, truncates
+    or rewrites the file: a concurrent writer loses nothing, and a crash
+    mid-write leaves at most a torn last line, which the next record's
+    newline closes.
 
-    `get` and `index` read the file at each call, so they see every record
-    any writer has saved.  A lookup reads the one record it needs: `get`
-    searches the log's bytes backwards for the query's record prefix (its
-    record up to the count) at the start of a line, and takes the first hit
-    that one regular expression reads as a whole record, with no JSON
-    parse, so the later record of a query wins and a torn or foreign line
-    is passed over.  Only `selfcheck` indexes the whole log (`index`): it
-    recounts every record the way a miss counts it, one query at a time.
+    `get` and `selfcheck` read the file at each call, so they see every
+    record any writer has saved.  `get` searches the bytes backwards for
+    the query's record prefix (its record up to the count) at the start of
+    a line and takes the first hit that `_RECORD` reads whole, with no JSON
+    parse, so the later record wins and a torn or foreign line is passed
+    over.  Only `selfcheck` reads every record: it recounts each the way a
+    miss counts it, one query at a time.
     """
-
-    HEADER = b'{"schema_version": 3}\n'
 
     def __init__(self, path: Path):
         self.path = Path(path)
 
     def _load(self) -> bytes:
-        """The file's bytes; empty if the file is missing, unreadable or
-        without the header."""
+        """The file's bytes; empty if the file is missing or unreadable."""
         try:
-            data = self.path.read_bytes()
+            return self.path.read_bytes()
         except OSError:
             return b""
-        return data if data.startswith(self.HEADER) else b""
-
-    @property
-    def index(self) -> dict[bytes, bytes]:
-        """Every record's prefix mapped to its count's digits, the later
-        record of a query winning."""
-        return dict(_RECORD.findall(self._load()))
 
     def get(self, query: CensusQuery) -> Optional[int]:
-        prefix = _record_prefix(query)
-        data, start = self._load(), b"\n" + prefix  # a line that starts with the prefix
+        data, start = self._load(), b"\n" + _record_prefix(query)  # a line that starts with the prefix
         at = len(data)
         while (at := data.rfind(start, 0, at)) >= 0:
-            record = _RECORD.match(data, at + 1)
-            if record and record[1] == prefix:
+            if record := _RECORD.match(data, at + 1):
                 return int(record[2])
         return None
 
     def save(self, query: CensusQuery, count: int) -> None:
-        """Append the query's record; `get` answers it at once."""
-        data = _record_prefix(query) + b"%d}\n" % count
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | getattr(os, "O_BINARY", 0), 0o666)
+        """Append the query's record, after a newline that closes any line
+        a crash left torn; `get` answers it at once."""
+        data = b"\n" + _record_prefix(query) + b"%d}" % count
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND | getattr(os, "O_BINARY", 0), 0o666)
         try:
             if fcntl is not None:  # without it the append goes unlocked; closing the fd unlocks
                 fcntl.flock(fd, fcntl.LOCK_EX)
-            if os.read(fd, len(self.HEADER)) != self.HEADER:
-                os.ftruncate(fd, 0)
-                data = self.HEADER + data
-            else:  # close a line torn by a crash, so that it spoils no record of ours
-                os.lseek(fd, -1, os.SEEK_END)
-                if os.read(fd, 1) != b"\n":
-                    data = b"\n" + data
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view) :]
@@ -243,7 +224,7 @@ class CountCache:
         records were recounted and the mismatch descriptions, the records
         that are not census queries first."""
         problems, checks = [], []
-        for prefix, cached in self.index.items():
+        for prefix, cached in dict(_RECORD.findall(self._load(), 1)).items():  # from 1: the lines `get` reads
             fields = json.loads(prefix + b"null}")  # the count is `cached`
             del fields["count"]
             label = " ".join(f"{f}={v}" for f, v in fields.items())

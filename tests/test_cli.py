@@ -36,21 +36,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The first line of the cache files an older release wrote; a load skips it like any
+# other line that is not a record.
+OLD_HEADER = b'{"schema_version": 3}\n'
+
+
 def write_cache(path, records):
-    """A schema-3 count cache: the header line, then one JSON record a line."""
-    path.write_bytes(CountCache.HEADER + "".join(json.dumps(rec) + "\n" for rec in records).encode())
+    """A count cache as `save` lays it out: one JSON record a line, each after a newline."""
+    path.write_bytes("".join("\n" + json.dumps(rec) for rec in records).encode())
 
 
 def read_cache(path):
-    """The records of a schema-3 count cache, in file order, after its header."""
-    header, *lines = path.read_bytes().splitlines(keepends=True)
-    assert header == CountCache.HEADER
-    return [json.loads(line) for line in lines]
+    """The records of a count cache, in file order, its empty lines skipped."""
+    return [json.loads(line) for line in read_lines(path)]
 
 
 def read_lines(path):
-    """The lines of a schema-3 count cache after its header, without their newlines."""
-    return path.read_bytes()[len(CountCache.HEADER) :].splitlines()
+    """The lines of a count cache without their newlines, its empty lines skipped."""
+    return [line for line in path.read_bytes().split(b"\n") if line]
 
 
 def canonical(genus, count, **fields):
@@ -134,11 +137,55 @@ def test_cache_unknown_schema_ignored(tmp_path, capsys):
     record = {"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 1}
     docs.append({"schema_version": 2, "entries": [record]})
     texts = [json.dumps(doc) for doc in docs] + ["", '{"schema_ver']  # and an empty file, a torn header
+    texts += [canonical(8, 1), canonical(7, 1)]  # a record's spelling on the first line, after no newline
     for text in texts:
         cache_path.write_text(text)
         code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path))
         assert (code, out.strip(), err) == (0, "67", ""), text  # recomputed, not the bogus 1
-        assert read_cache(cache_path) == [{**record, "count": 67}], text  # and the file replaced
+        # the old bytes stay, as a skipped first line, and the record follows them
+        assert cache_path.read_bytes() == (text + "\n" + canonical(8, 67)).encode(), text
+        code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path), "--format", "json")
+        assert (code, err, json.loads(out)["count"], json.loads(out)["cached"]) == (0, "", 67, True), text
+        code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+        assert (code, out, err) == (0, "cache ok: 1 entries verified\n", ""), text  # only the record saved
+
+
+def test_cache_save_keeps_every_byte_it_found(tmp_path, capsys):
+    import random
+
+    cache_path = tmp_path / "cache.json"
+    found = {
+        "text": b"my notes\nsecond line",  # no final newline
+        "binary": random.Random(20261019).randbytes(4096),
+        "empty": b"",
+        "torn": ("\n" + canonical(6, 23) + "\n" + canonical(8, 60)[:30]).encode(),
+        "older log": OLD_HEADER + "".join(canonical(g, n) + "\n" for g, n in ((6, 23), (7, 39))).encode(),
+    }
+    for name, held in found.items():
+        cache_path.write_bytes(held)
+        for cached in (False, True):
+            code, out, err = run(capsys, "count", "--genus", "8", "--cache", str(cache_path), "--format", "json")
+            assert (code, err, json.loads(out)["count"], json.loads(out)["cached"]) == (0, "", 67, cached), name
+            now = cache_path.read_bytes()
+            assert now[: len(held)] == held, name  # the old bytes are a prefix of the new
+            assert now[len(held) :] == b"\n" + canonical(8, 67).encode(), name  # then one newline-led record
+
+
+def test_cache_older_log_needs_no_migration(tmp_path, capsys, monkeypatch):
+    # the layout an older release wrote: a schema header line, then records that each end in a newline
+    cache_path = tmp_path / "cache.json"
+    counts = {CensusQuery(7): 39, CensusQuery(8): 67, CensusQuery(9, max_depth=3): 99, CensusQuery(12, depth=6, mult=4): 9}
+    held = OLD_HEADER + b"".join(cli._record_prefix(query) + b"%d}\n" % n for query, n in counts.items())
+    cache_path.write_bytes(held)
+    asked = spy_on_count_gapsets(monkeypatch)
+    for query, count in counts.items():
+        flags = [f"--{f.replace('_', '-')}={v}" for f, v in vars(query).items() if v is not None]
+        code, out, err = run(capsys, "count", *flags, "--cache", str(cache_path), "--format", "json")
+        assert (code, err, json.loads(out)["count"], json.loads(out)["cached"]) == (0, "", count, True), query
+    assert asked == [] and cache_path.read_bytes() == held  # every record served, no census, no byte written
+    code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
+    assert (code, out, err) == (0, "cache ok: 4 entries verified\n", "")
+    assert asked == list(counts)
 
 
 def spy_on_count_gapsets(monkeypatch):
@@ -177,7 +224,7 @@ def test_selfcheck_reports_non_integer_fields(tmp_path, capsys, monkeypatch):
     }
     asked = spy_on_count_gapsets(monkeypatch)
     for lines, queries in [([line], []) for line in refused] + [([*refused, canonical(7, 39)], [CensusQuery(7)])]:
-        cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
+        cache_path.write_bytes(OLD_HEADER + "".join(line + "\n" for line in lines).encode())
         asked.clear()
         code, out, err = run(capsys, "count", "--selfcheck", "--cache", str(cache_path))
         assert (code, err) == (3, ""), lines
@@ -189,7 +236,7 @@ def test_selfcheck_asks_each_record_its_own_query(tmp_path, capsys, monkeypatch)
     # what `count --genus 40 --depth 17 --force --cache PATH` writes, in well under a second:
     # its check asks that one query again, and runs no census of the largest cached genus
     cache_path = tmp_path / "cache.json"
-    cache_path.write_bytes(CountCache.HEADER + (canonical(40, 26, depth=17) + "\n").encode())
+    cache_path.write_bytes(OLD_HEADER + (canonical(40, 26, depth=17) + "\n").encode())
     asked = spy_on_count_gapsets(monkeypatch)
 
     def refuse(*args, **kwargs):
@@ -236,7 +283,7 @@ def test_cache_later_record_supersedes(tmp_path):
     record, bounded = canonical(8, 67), canonical(8, 62, max_depth=3)
     for foreign in ["", *FOREIGN_LINES]:  # no line, then a line of each kind `save` never writes
         lines = [record, canonical(8, 1, max_depth=3), bounded] + ([foreign] if foreign else [])
-        cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
+        cache_path.write_bytes(OLD_HEADER + "".join(line + "\n" for line in lines).encode())
         cache = CountCache(cache_path)
         # a later record supersedes an earlier one; a later foreign line supersedes nothing
         assert cache.get(CensusQuery(8, max_depth=3)) == 62, foreign
@@ -271,7 +318,10 @@ def test_saved_records_load_without_json(tmp_path, monkeypatch):
     counts = ([0, 7, 2**63 - 1] * len(queries))[: len(queries) - 1] + [10**4299]  # 4300 digits: int's limit
     for query, count in zip(queries, counts):
         cache.save(query, count)
-    for line, query, count in zip(read_lines(cache_path), queries, counts, strict=True):
+    lines = read_lines(cache_path)
+    # the file opens on an empty line, each record follows a newline, and the last one ends the file
+    assert cache_path.read_bytes() == b"".join(b"\n" + line for line in lines)
+    for line, query, count in zip(lines, queries, counts, strict=True):
         assert cli._RECORD.fullmatch(line), line
         assert json.loads(line) == {**dict(zip(cli.QUERY_FIELDS, dataclasses.astuple(query))), "count": count}
 
@@ -341,14 +391,15 @@ def test_cache_reads_only_the_records_save_writes(tmp_path, monkeypatch):
         body = "".join(line + "\n" for line in lines)
         if foreign == 0 and rng.random() < 0.5:  # a torn last line has no newline
             body = body[:-1]
-        cache_path.write_bytes(CountCache.HEADER + body.encode())
+        cache_path.write_bytes(OLD_HEADER + body.encode())
         expected = records_of(body)
         with monkeypatch.context() as patch:
             patch.setattr(cli.json, "loads", boom)
             cache = CountCache(cache_path)
             for query in queries:
                 assert cache.get(query) == expected.get(dataclasses.astuple(query)), (lines, query)
-        assert len(cache.index) == len(expected), lines  # and it took no other line for a record
+        # and it took no other line for a record
+        assert len(dict(cli._RECORD.findall(cache._load()))) == len(expected), lines
 
 
 def test_cache_hit_parses_no_json(tmp_path, capsys, monkeypatch):
@@ -367,7 +418,7 @@ def test_cache_hit_parses_no_json(tmp_path, capsys, monkeypatch):
 def test_cache_save_answers_at_once_and_after_a_reload(tmp_path):
     cache_path = tmp_path / "cache.json"
     for lines in ([canonical(8, 1)], [canonical(8, 1), canonical(8.0, 2)]):  # without a foreign line, then with one
-        cache_path.write_bytes(CountCache.HEADER + "".join(line + "\n" for line in lines).encode())
+        cache_path.write_bytes(OLD_HEADER + "".join(line + "\n" for line in lines).encode())
         cache = CountCache(cache_path)
         assert cache.get(CensusQuery(8)) == 1
         cache.save(CensusQuery(8), 67)
@@ -378,7 +429,7 @@ def test_cache_save_answers_at_once_and_after_a_reload(tmp_path):
 def test_cache_save_answers_at_once_whatever_the_file_held(tmp_path):
     cache_path = tmp_path / "cache.json"
     schema_2 = {"schema_version": 2, "entries": [{"genus": 8, "depth": None, "max_depth": None, "mult": None, "count": 1}]}
-    torn = CountCache.HEADER + (canonical(6, 23) + "\n" + canonical(8, 1)[:30]).encode()  # no newline at the end
+    torn = OLD_HEADER + (canonical(6, 23) + "\n" + canonical(8, 1)[:30]).encode()  # no newline at the end
     # what the file held when this cache loaded it, and whether another writer saved before this cache did
     cases = [(torn, False), (json.dumps(schema_2).encode(), False), (None, False), (torn, True), (None, True)]
     for held, other_writer in cases:
@@ -440,7 +491,8 @@ def test_cache_reads_records_another_writer_saved(tmp_path):
     cache.save(CensusQuery(7), 39)
     CountCache(cache_path).save(CensusQuery(8), 67)
     assert cache.get(CensusQuery(8)) == 67
-    assert cache.index == {cli._record_prefix(CensusQuery(q)): n for q, n in ((7, b"39"), (8, b"67"))}
+    expected = {cli._record_prefix(CensusQuery(q)): n for q, n in ((7, b"39"), (8, b"67"))}
+    assert dict(cli._RECORD.findall(cache._load())) == expected
 
 
 def test_cache_lock_is_on_the_log_itself(tmp_path):

@@ -12,6 +12,10 @@ The library modules import one another along a fixed graph: the census
 engine imports none of them, the tilings rest on the sets and their Kunz
 coordinates, the formulas on the sequences.  No module imports a process pool: a sharded
 census forks its own workers.
+
+No source truncates, replaces or renames a file: it names none of `os.ftruncate`,
+`os.truncate`, `os.replace`, `os.rename` and `os.O_TRUNC`.  The count cache only appends,
+so every byte a file handed to `--cache` held stays.
 """
 
 import ast
@@ -121,3 +125,20 @@ def top_level_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_process_pool_import(path):
     assert top_level_imports(path) & {"multiprocessing", "concurrent"} == set()
+
+
+REWRITES = {"ftruncate", "truncate", "replace", "rename", "O_TRUNC"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_file_rewrite(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: os.{name}" for name in names if name in REWRITES]
+    assert found == []
