@@ -62,7 +62,6 @@ __all__ = [
     "census_coords",
     "census_histograms",
     "count_gapsets",
-    "count_gapsets_depth_at_most",
 ]
 
 # Counts live in 64 bits; 2**(g-1) m-extensions at genus g forces g < 64.
@@ -396,14 +395,4 @@ def count_gapsets(query: CensusQuery, jobs: int = 1) -> CensusResult:
     t0 = time.perf_counter()
     total = sum(census_histograms(query, jobs)[query.genus].values())
     return CensusResult(total, time.perf_counter() - t0, _shards(query, jobs))
-
-
-def count_gapsets_depth_at_most(g: int, k: int) -> int:
-    """Number of gapsets of genus g and depth <= k.
-
-    Includes the empty gapset at g = 0 (depth 0) and the depth-1 ordinary
-    gapset at every positive genus, so column sums line up with the
-    unfiltered census.
-    """
-    return count_gapsets(CensusQuery(g, max_depth=k)).count
 

@@ -26,14 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-# perfbench/tracing.py wraps count_gapsets_depth_at_most by name in this module
-from .census import (
-    CensusQuery,
-    census_coords,
-    census_histograms,
-    count_gapsets,
-    count_gapsets_depth_at_most,
-)
+from .census import CensusQuery, census_coords, census_histograms, count_gapsets
 from .core import GapSet, MExtension, classify_gapset, classify_m_extension, invariants
 from .formulas import (
     f_gq,
@@ -70,6 +63,13 @@ FROM_KUNZ_MAX_GENUS = 10**6
 # A CensusQuery's fields in constructor order: the keys of `count`'s query
 # record and of a cache entry.
 QUERY_FIELDS = tuple(f.name for f in dataclasses.fields(CensusQuery))
+
+
+def count_gapsets_depth_at_most(g: int, k: int) -> int:
+    """Number of gapsets of genus g and depth <= k.  No command calls it:
+    perfbench/tracing.py wraps it by name in this module, and it goes with
+    the wrap (ROADMAP item 1)."""
+    return count_gapsets(CensusQuery(g, max_depth=k)).count
 
 
 def bundled_bfile() -> Path:

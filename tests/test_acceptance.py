@@ -11,13 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from census_oracles import N_G, census_fgqm, census_hist, semigroup_tree_histograms
-from gapsets.census import (
-    CensusQuery,
-    census_histograms,
-    count_gapsets,
-    count_gapsets_depth_at_most,
-)
+from census_oracles import N_G, census_fgqm, census_hist, composition_histograms, semigroup_tree_histograms
+from gapsets.census import MAX_GENUS, CensusQuery, census_histograms, count_gapsets
 from gapsets.cli import bundled_bfile, main, parse_bfile
 from gapsets.core import GapSet, classify_gapset
 from gapsets.formulas import (
@@ -27,7 +22,7 @@ from gapsets.formulas import (
     lower_bound_depth3,
     upper_bound_ng,
 )
-from gapsets.kunz import KunzVector, coords_violation, from_kunz, pseudo_kunz, satisfies_kunz_system
+from gapsets.kunz import KunzVector, from_kunz, pseudo_kunz, satisfies_kunz_system
 from gapsets.sequences import fibonacci, fibonacci_k, padovan, padovan_fibonacci_convolution
 from gapsets.tilings import (
     count_compositions,
@@ -84,16 +79,15 @@ TABLE3_UPPER = {  # g: (M=4, M=3, M=2)
 
 @pytest.fixture(scope="module")
 def depth_histograms():
-    """Depth histogram of the census at each genus (one system-filtered
-    pass over the unrestricted composition stream per genus)."""
-    hist = {0: Counter({0: 1})}
-    for g in range(1, GMAX + 1):
-        counter = Counter()
-        for c in enumerate_compositions(g):
-            if coords_violation(c) is None:
-                counter[max(c)] += 1
-        hist[g] = counter
-    return hist
+    """Depth histogram at each genus of the brute-force census: the
+    system-filtered composition walk."""
+    hists = []
+    for cells in composition_histograms(GMAX):
+        hist = Counter()
+        for (q, _), n in cells.items():
+            hist[q] += n
+        hists.append(hist)
+    return hists
 
 
 def test_criterion_01_census_matches_reference_columns():
@@ -104,7 +98,7 @@ def test_criterion_01_census_matches_reference_columns():
     assert elapsed < 60.0, f"g={GMAX} census took {elapsed:.1f}s"
 
     got_ng = [count_gapsets(CensusQuery(g)).count for g in range(0, GMAX + 1)]
-    got_np = [count_gapsets_depth_at_most(g, 3) for g in range(0, GMAX + 1)]
+    got_np = [count_gapsets(CensusQuery(g, max_depth=3)).count for g in range(0, GMAX + 1)]
     assert got_ng == N_G
     assert got_np == N_PRIME
     print(f"\nPASS criterion 1: n_g and n'_g match for g=0..{GMAX} "
@@ -123,18 +117,13 @@ def test_criterion_02_multiplicity4_grid():
 
 
 def test_criterion_03_formulas_match_census():
-    mismatches = 0
-    for g in range(2, 51):
-        for q in range(1, g + 1):
-            if f_gq3(g, q).value != census_fgqm(g, q, 3):
-                mismatches += 1
-    for g in range(7, 51):
-        for q in range(1, g + 1):
-            if f_gq4(g, q).value != census_fgqm(g, q, 4):
-                mismatches += 1
-    assert mismatches == 0
-    print("PASS criterion 3: multiplicity-3 formula (g=2..50) and "
-          "multiplicity-4 formula (g=7..50) agree with the census everywhere")
+    # one census pass per multiplicity, every genus from the formula's first up to the cap
+    for m, formula, low in ((3, f_gq3, 2), (4, f_gq4, 7)):
+        for g, hist in census_histograms(CensusQuery(MAX_GENUS, mult=m), low=low).items():
+            for q in range(1, g + 1):
+                assert formula(g, q).value == hist[q, m], (m, g, q)
+    print(f"PASS criterion 3: multiplicity-3 formula (g=2..{MAX_GENUS}) and "
+          f"multiplicity-4 formula (g=7..{MAX_GENUS}) agree with the census everywhere")
 
 
 def test_criterion_04_depth_formula_covers_bold_entries(depth_histograms):
@@ -173,7 +162,7 @@ def test_criterion_05_bounds_sandwich(depth_histograms):
         assert upper_bound_ng(g, 3, census_hist(g)) == u3, g
         assert upper_bound_ng(g, 2, census_hist(g)) == u2, g
     for g in range(0, GMAX + 1):
-        nprime = count_gapsets_depth_at_most(g, 3)
+        nprime = count_gapsets(CensusQuery(g, max_depth=3)).count
         ng = sum(depth_histograms[g].values())
         assert lower_bound_depth3(g) <= nprime <= ng
         if g >= 1:
@@ -282,7 +271,6 @@ def test_extra_a007323_and_fibonacci_like_growth_to_genus_24():
 
 def test_extra_finite_monotone_growth():
     # the asymptotic statements are out of reach; the finite shadow is not
+    # criterion 01 ties N_G to the census
     assert all(N_G[g] < N_G[g + 1] for g in range(1, GMAX)), "n_g must grow"
-    got = [count_gapsets(CensusQuery(g)).count for g in range(0, GMAX + 1)]
-    assert got == N_G
     print("PASS extra: n_g strictly increases for 1 <= g <= 18")

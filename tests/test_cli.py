@@ -845,6 +845,18 @@ def test_bounds_with_a_huge_M_returns_at_once(capsys):
     assert time.perf_counter() - start < 30  # the loop over M stops at multiplicity g + 1
 
 
+def test_bounds_reports_each_violation_and_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "upper_bound_ng", lambda g, M, hist: 0)  # a bound every n_g exceeds
+    code, out, _ = run(capsys, "bounds", "--genus", "8")
+    violations = [line for line in out.splitlines() if line.startswith("VIOLATION:")]
+    assert code == 3 and "sandwich: ok" not in out
+    assert violations == [f"VIOLATION: n_g 67 exceeds UB(M={M}) 0" for M in (2, 3, 4)]
+    code, out, _ = run(capsys, "bounds", "--genus", "8", "--format", "json")
+    record = json.loads(out)
+    assert code == 3 and record["ok"] is False
+    assert record["violations"] == [v.removeprefix("VIOLATION: ") for v in violations]
+
+
 def test_formula_command(capsys):
     code, out, _ = run(capsys, "formula", "--genus", "8", "--depth", "4", "--mult", "4")
     assert code == 0 and out.startswith("6")
@@ -902,6 +914,20 @@ def test_bfile_parser(tmp_path, capsys):
 def test_oeis_match(capsys):
     code, out, _ = run(capsys, "oeis", "--gmax", "12")
     assert code == 0 and "all match" in out
+
+
+def test_oeis_refuses_to_judge_when_the_census_misses_its_anchor(capsys, monkeypatch):
+    real = cli.census_histograms
+
+    def off_by_one(*args, **kwargs):
+        hists = real(*args, **kwargs)
+        hists[5][1, 6] += 1  # n_5 reads 13
+        return hists
+
+    monkeypatch.setattr(cli, "census_histograms", off_by_one)
+    code, out, err = run(capsys, "oeis", "--gmax", "8")
+    assert (code, out) == (3, "")
+    assert err == "internal error: census n_5 != 12\n"
 
 
 def test_oeis_corrupted_value(tmp_path, capsys):

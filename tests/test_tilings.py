@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gapsets.core import classify_m_extension
-from gapsets.sequences import fibonacci_k
 from gapsets.tilings import (
     compositions_fixed_parts,
     count_compositions,
@@ -56,12 +55,6 @@ def test_count_matches_stream():
             stream = list(enumerate_compositions(g, k))
             for v in [None] + list(range(-1, g + 3)):  # every first part, in range or not
                 assert count_compositions(g, k, v) == sum(1 for c in stream if v is None or c[0] == v)
-
-
-def test_restricted_count_is_k_step_fibonacci():
-    for g in range(1, 16):
-        for k in range(2, g + 1):
-            assert count_compositions(g, k) == fibonacci_k(k, g + 1)
 
 
 def test_fixed_parts():
