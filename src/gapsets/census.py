@@ -34,8 +34,9 @@ the package: a caller that wants the sets builds them with
 A sharded census splits the search by its first coordinate: shard k holds
 the gapsets with k_1 = k.  The calling process and up to jobs - 1 forked
 children take the shards one at a time from a single pipe that carries
-their first coordinates, so the work balances itself; each child sends its
-tally back over a pipe of its own, and the tallies add cell by cell.
+their first coordinates, so the work balances itself; each child writes
+its tally into its own row of one shared anonymous map, and the caller adds
+the rows cell by cell once it has reaped their children.
 No process pool is started, and a platform without `os.fork` runs the
 census whole in the calling process.
 
@@ -47,13 +48,12 @@ brute-force oracle in the tests.
 
 from __future__ import annotations
 
-import marshal
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import NoReturn, Optional
+from typing import Optional
 
 __all__ = [
     "MAX_GENUS",
@@ -277,82 +277,66 @@ def _shards(query: CensusQuery, jobs: int) -> int:
     return shards if jobs > 1 and shards > 1 and pmin <= pmax and hasattr(os, "fork") else 1
 
 
-def _take_shards(query: CensusQuery, low: int, tasks: int) -> list[int]:
+def _take_shards(query: CensusQuery, low: int, tasks: int, cells: int) -> list[int]:
     """The summed tallies of every shard this process takes from the task
     pipe: one byte, a shard's first coordinate, per read, until it is empty."""
-    _, _, _, depths, moduli = _search_bounds(query)
-    tally = [0] * ((query.genus - low + 1) * depths * moduli)
+    tally = [0] * cells
     while first := os.read(tasks, 1):
         tally = list(map(add, tally, _census(query, low, first[0])))
     return tally
 
 
-def _shard_worker(query: CensusQuery, low: int, tasks: int, into: int, inherited: tuple[int, ...]) -> NoReturn:
-    """A forked child's whole life: close the result pipes' read ends it
-    inherited, take shards, send their tally as one marshalled list, and
-    leave with status 0, or 1 on any failure, without returning into the
-    parent's stack."""
-    status = 1
-    try:
-        for fd in inherited:  # with no reader but the parent, a write after its death fails
-            os.close(fd)
-        payload = memoryview(marshal.dumps(_take_shards(query, low, tasks)))
-        while payload:  # a pipe may take fewer bytes than asked
-            payload = payload[os.write(into, payload) :]
-        status = 0
-    except Exception:
-        import traceback
-
-        traceback.print_exc()  # the parent reports the exit status
-    finally:
-        os._exit(status)
-
-
 def _census_shards(query: CensusQuery, low: int, shards: int, workers: int) -> list[int]:
     """The summed tally of shards 1..`shards`, from this process and
-    workers - 1 forked children pulling first coordinates from one pipe.
-    A child that fails raises ChildProcessError; on any error, this
-    process's own included, every child still running is killed, and
-    every child is reaped."""
+    workers - 1 forked children pulling first coordinates from one pipe;
+    each child writes its tally into its own row of one shared map, as
+    64-bit cells (a cell that does not fit fails the child).  A child that
+    fails raises ChildProcessError; on any error, this process's own
+    included, every child still running is killed, and every child is
+    reaped."""
+    from array import array
+    from mmap import mmap
+
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(1, shards + 1)))  # at most MAX_GENUS bytes: one write, below PIPE_BUF
     os.close(feed)  # the readers see the end of the tasks once they are taken
-    children: dict[int, int] = {}  # pid -> the read end of its result pipe, until reaped
+    _, _, _, depths, moduli = _search_bounds(query)
+    cells = (query.genus - low + 1) * depths * moduli
+    rows = memoryview(mmap(-1, 8 * cells * (workers - 1))).cast("q")  # MAP_SHARED: the children write it
+    children: dict[int, slice] = {}  # pid -> its row, until reaped
     try:
-        for _ in range(workers - 1):
-            out, into = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(out)
-                os.close(into)
-                raise
-            if pid == 0:
-                _shard_worker(query, low, tasks, into, (out, *children.values()))
-            os.close(into)
-            children[pid] = out
-        tally = _take_shards(query, low, tasks)
-        for pid, out in list(children.items()):
-            chunks = []
-            while chunk := os.read(out, 1 << 16):
-                chunks.append(chunk)
+        for i in range(workers - 1):
+            row = slice(i * cells, (i + 1) * cells)
+            pid = os.fork()
+            if pid == 0:  # the child's whole life, never returning into the caller's stack
+                status = 1
+                try:
+                    rows[row] = array("q", _take_shards(query, low, tasks, cells))
+                    status = 0
+                except Exception:
+                    import traceback
+
+                    traceback.print_exc()  # the parent reports the exit status
+                finally:
+                    os._exit(status)
+            children[pid] = row
+        tally = _take_shards(query, low, tasks, cells)
+        for pid, row in list(children.items()):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            os.close(out)
             if status:
                 how = f"exited with status {status}" if status > 0 else f"was killed by signal {-status}"
                 raise ChildProcessError(f"census shard worker {pid} {how}")
-            tally = list(map(add, tally, marshal.loads(b"".join(chunks))))
+            tally = list(map(add, tally, rows[row]))
         return tally
     finally:
         os.close(tasks)
         if children:  # only after an error: stop and reap the rest
             from signal import SIGKILL
 
-            for pid, out in children.items():
+            for pid in children:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-                os.close(out)
 
 
 def census_histograms(query: CensusQuery, jobs: int = 1, low: Optional[int] = None) -> dict[int, Counter]:

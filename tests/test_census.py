@@ -1,6 +1,7 @@
 import errno
 import os
 import select
+import signal
 from collections import Counter
 
 import pytest
@@ -41,6 +42,9 @@ def test_query_validation():
         CensusQuery(4, depth=2, max_depth=3)
     with pytest.raises(ValueError):
         CensusQuery(4, mult=1)
+    for bad in ({"depth": -1}, {"max_depth": -1}):
+        with pytest.raises(ValueError, match="depth filter must be >= 0, got -1"):
+            CensusQuery(5, **bad)
     with pytest.raises(TypeError):
         CensusQuery(5.0)
     for bad in ({"genus": None}, {"genus": 5, "depth": 2.0}, {"genus": 5, "mult": "3"}):
@@ -210,6 +214,15 @@ def test_forks_never_outnumber_the_shards(forks):
     assert_no_child_left()
 
 
+def test_one_pipe_per_census(forks, monkeypatch):
+    pipes = []
+    real_pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(None) or real_pipe())
+    assert count_gapsets(q(14), jobs=3).count == N_G[14]
+    assert (len(pipes), len(forks)) == (1, 2)  # the tasks pipe only: the children's tallies come back through shared memory
+    assert_no_child_left()
+
+
 def test_one_fork_group_per_command(forks, monkeypatch, capsys):
     from gapsets import census
     from gapsets.cli import main
@@ -233,22 +246,24 @@ def test_one_fork_group_per_command(forks, monkeypatch, capsys):
 
 @pytest.fixture
 def failing_census(monkeypatch):
-    """Makes `_census` raise in this process (`"parent"`) or only in its
-    forked children (`"child"`).  The other side holds its first shard
-    until the failing side has taken one, then counts as usual.  Returns
-    the signalling pipe, for the test to close."""
+    """Makes `_census` fail in this process (`"parent"`) or only in its
+    forked children (`"child"`): the failing side hands its true tally to
+    `fail`, which raises, kills its process or returns a tally of its own.
+    The other side holds its first shard until the failing side has taken
+    one, then counts as usual.  Returns the signalling pipe, for the test
+    to close."""
     from gapsets import census
 
     real_census = census._census
     parent = os.getpid()
 
-    def make(where, error=RuntimeError):
+    def make(where, fail):
         failed_r, failed_w = os.pipe()
 
         def fake(*args, **kwargs):
             if (os.getpid() == parent) == (where == "parent"):
                 os.write(failed_w, b"!")
-                raise error("injected census failure")
+                return fail(real_census(*args, **kwargs))
             ready, _, _ = select.select([failed_r], [], [], 10)
             if not ready:
                 raise TimeoutError("the failing side took no shard")
@@ -260,21 +275,44 @@ def failing_census(monkeypatch):
     return make
 
 
+def raising(error):
+    def fail(tally):
+        raise error("injected census failure")
+
+    return fail
+
+
+def killed(tally):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def too_wide(tally):  # a count no 64-bit cell holds
+    return [2**63] + tally[1:]
+
+
 def test_a_failing_child_raises_and_every_child_is_reaped(failing_census, capfd):
-    fds = failing_census("child")
-    try:
-        with pytest.raises(ChildProcessError, match="exited with status 1"):
-            census_histograms(q(12), jobs=2)
-    finally:
-        for fd in fds:
-            os.close(fd)
-    assert "injected census failure" in capfd.readouterr().err  # the child's traceback
-    assert_no_child_left()
+    for fail, message, printed in (
+        (raising(RuntimeError), "exited with status 1", "injected census failure"),  # the child's traceback
+        (killed, "was killed by signal 9", ""),
+        (too_wide, "exited with status 1", "OverflowError"),  # failed loudly, not truncated
+    ):
+        before = open_fds()
+        fds = failing_census("child", fail)
+        try:
+            with pytest.raises(ChildProcessError, match=message):
+                census_histograms(q(12), jobs=2)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        err = capfd.readouterr().err
+        assert printed in err and ("Traceback" in err) == bool(printed), message
+        assert_no_child_left()
+        assert open_fds() == before
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_a_failing_parent_kills_and_reaps_every_child(failing_census, error):
-    fds = failing_census("parent", error)
+    fds = failing_census("parent", raising(error))
     try:
         with pytest.raises(error, match="injected census failure"):
             census_histograms(q(12), jobs=3)

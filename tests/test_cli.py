@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,8 @@ def test_count_missing_genus(capsys):
 def test_count_bad_range(capsys):
     code, _, _ = run(capsys, "count", "--genus", "-3")
     assert code == 2
+    code, out, err = run(capsys, "count", "--genus", "5", "--depth", "-1")
+    assert (code, out, err) == (2, "", "error: depth filter must be >= 0, got -1\n")
 
 
 def test_count_guard(capsys):
@@ -855,6 +858,16 @@ def test_bounds_reports_each_violation_and_exits_3(capsys, monkeypatch):
     record = json.loads(out)
     assert code == 3 and record["ok"] is False
     assert record["violations"] == [v.removeprefix("VIOLATION: ") for v in violations]
+    monkeypatch.undo()
+    for name, fake, violation in (
+        ("lower_bound_depth3", lambda g: 58, "lower 58 <= n'_g 57 <= n_g 67 fails"),  # just above n'_8
+        ("upper_bound_ng_closedN", lambda g: 0, "n_g 67 exceeds closed-N bound 0"),
+        ("census_histograms", lambda query, jobs: {8: Counter({(1, 2): 129})}, "n_g 129 exceeds 2^(g-1) 128"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, fake)
+            code, out, _ = run(capsys, "bounds", "--genus", "8")
+        assert code == 3 and f"VIOLATION: {violation}" in out.splitlines(), name
 
 
 def test_formula_command(capsys):

@@ -27,6 +27,7 @@ def test_as_elements_sorts_and_validates():
 def test_rejects_with_smallest_witness():
     verdict = classify_gapset((1, 2, 4, 7, 10))
     assert verdict == GapsetRejection(z=10, x=5, y=5)
+    assert str(verdict) == "not a gapset: 10 = 5 + 5 with neither summand in the set"
 
 
 def test_one_must_belong():

@@ -44,6 +44,8 @@ def test_f_gq_examples():
     assert f_gq(0, 0).value == 1
     assert f_gq(9, 4).covered is False
     assert f_gq(6, 3).covered is False
+    for g, q in ((-1, 3), (5, -1)):
+        assert (f_gq(g, q).value, f_gq(g, q).branch) == (None, "outside-domain")
 
 
 def test_f_gq_depth_two_matches_census():
@@ -86,6 +88,8 @@ def test_lower_bound_examples():
     assert lower_bound_depth3(0) == 1
     assert lower_bound_depth3(6) == 18
     assert lower_bound_depth3(10) == 135
+    with pytest.raises(ValueError, match="^genus must be >= 0, got -1$"):
+        lower_bound_depth3(-1)
 
 
 def test_lower_bound_column():
@@ -96,6 +100,10 @@ def test_upper_bound_examples():
     assert upper_bound_ng(10, 4, census_hist(10)) == 413
     assert upper_bound_ng(7, 3, census_hist(7)) == 58
     assert upper_bound_ng(5, 2, census_hist(5)) == 16
+    with pytest.raises(ValueError, match="^genus must be >= 1, got 0$"):
+        upper_bound_ng(0, 2, census_hist(0))
+    with pytest.raises(ValueError, match="^M must be >= 2, got 1$"):
+        upper_bound_ng(5, 1, census_hist(5))
 
 
 def test_upper_bound_general_M():
@@ -132,6 +140,10 @@ def test_depth_window_examples():
     assert depth_window(12, 4) == DepthWindow(4, 6)
     assert depth_window(5, 2) == DepthWindow(5, 5)
     assert depth_window(11, 3) == DepthWindow(6, 8)
+    with pytest.raises(ValueError, match="^genus must be >= 1, got 0$"):
+        depth_window(0, 3)
+    with pytest.raises(ValueError, match="^multiplicity must be >= 2, got 1$"):
+        depth_window(5, 1)
 
 
 def test_depth_window_is_well_formed():

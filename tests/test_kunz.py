@@ -55,6 +55,11 @@ def test_kunz_vector_validation():
         KunzVector(3, (1, 1, 1))
     with pytest.raises(ValueError, match="^modulus must be > 1$"):
         KunzVector(1, ())
+    with pytest.raises(ValueError, match="^modulus must be > 1$"):
+        AperySet(1, (0,))
+    for w in [(0, 5), (1, 5, 7)]:
+        with pytest.raises(ValueError, match="^w must have one entry per residue, starting with 0$"):
+            AperySet(3, w)
     # the census builds its gapsets with kunz_elements alone: it checks the same rule
     for coords in [(0,), (1, 0), (3, -2, 1)]:
         with pytest.raises(ValueError, match="^all coordinates must be positive$"):

@@ -110,6 +110,8 @@ def test_convolution_examples():
     assert padovan_fibonacci_convolution(0) == 1
     assert padovan_fibonacci_convolution(6) == 18
     assert padovan_fibonacci_convolution(10) == 135
+    with pytest.raises(ValueError, match="^argument must be >= 0, got -1$"):
+        padovan_fibonacci_convolution(-1)
 
 
 def test_convolution_identity_up_to_150():
