@@ -14,10 +14,11 @@ only, since no smaller k_t can fail a pair.  Each node is counted in
 place, as the search reaches it, into one flat list of ints indexed by
 (genus, depth, modulus); the running depth is passed down, not
 recomputed.  A cap of 1 or 2 skips the scan of the forward pairs (each
-sums to 2 or more).  The search's last two levels get no call of their
-own: a node one genus short has its only child, k_m = 1, counted in
-place, and so does a node two genus short (inside the window, with a cap
-of 2 or more) its children k_m = 1, that one's only child, and k_m = 2.
+sums to 2 or more).  The search's last three levels get no call of
+their own: a node one genus short has its only child, k_m = 1, counted
+in place; a node two genus short (inside the window, with a cap of 2 or
+more) its children k_m = 1, that one's only child, and k_m = 2; and a
+node three short (cap 3 or more, window one part wider) its seven tails.
 A depth filter caps every coordinate, and one window bounds their
 number.  The conductor is at most 2g, so depth <= ceil(2g/m): a
 multiplicity m fixes the window at m - 1 and caps every coordinate at
@@ -162,7 +163,10 @@ def _census(
     node of genus G - 2 inside the window with a cap of 2 or more: its
     children k_m = 1 (with that one's only child, k_(m+1) = 1, against
     `floor(m + 2)`) and k_m = 2 are counted in place, in walk order, both
-    values of k_m against one `floor(m + 1)`.
+    values of k_m against one `floor(m + 1)`.  Nor does a node of genus
+    G - 3 with a cap of 3 or more and its grandchildren inside the window:
+    its tails (1), (1,1), (1,1,1), (1,2), (2), (2,1) and (3) are, against
+    `floor(m + 1)`, `floor(m + 2)` once per k_m < 3 and `floor(m + 3)`.
     """
     genus = query.genus
     cap, pmin, pmax, depths, moduli = _search_bounds(query)
@@ -171,7 +175,9 @@ def _census(
     child = genus * plane + 1  # ... and cell (G, q, m + 1) tally[m - base + child + q * moduli]
     exact = query.depth or 0
     reach = genus - exact  # a node still below the exact depth q grows only up to genus G - q
-    short = genus - 2  # a node of this genus has its children counted in place where it can
+    short = genus - 2
+    # from this genus on, a node of modulus m has its children counted in place (G - 3 or G - 2 inside the window)
+    inners = [short - (cap > 2 and m + 1 < pmax) if cap > 1 and pmin <= m < pmax else genus - 1 for m in range(moduli)]
     tally = [0] * ((genus - low + 1) * plane)
     k = [0] * (genus + 2)  # k[i] is the coordinate of residue i; k[1:m] the node's
 
@@ -217,6 +223,7 @@ def _census(
         growing = genus if p < pmax else 0  # it has children below this genus
         deeper = lo if lo > 4 else 4  # v only grows: from this value on, p is on `deep`
         at = m - base
+        inner = inners[m]
         for v in range(lo, hi + 1):
             k[p] = v
             if v == deeper:
@@ -228,7 +235,7 @@ def _census(
                 if items is not None and query.selects(dv, m):
                     items.append(tuple(k[1:m]))
             if h < growing and (dv >= exact or h <= reach):
-                if h < short:
+                if h < inner:
                     grow(m, h, dv)
                 elif h > short:  # its only child, k_m = 1, counted in place (the hi cut keeps m >= pmin)
                     k[m] = 1
@@ -236,7 +243,7 @@ def _census(
                         tally[at + child + dv * moduli] += 1
                         if items is not None and query.selects(dv, m + 1):
                             items.append(tuple(k[1 : m + 1]))
-                elif cap > 1 and pmin <= m < pmax:  # k_m = 1, its only child k_(m+1) = 1, then k_m = 2
+                elif h == short:  # k_m = 1, its only child k_(m+1) = 1, then k_m = 2
                     cell = at + child + dv * moduli  # (G, dv, m + 1); every forward pair allows a 1 or a 2
                     least = floor(m + 1) if deep else 0  # the least k_m
                     k[m] = 1
@@ -253,8 +260,45 @@ def _census(
                         tally[at + child + dv * moduli] += 1
                         if items is not None and query.selects(dv, m + 1):
                             items.append(tuple(k[1 : m + 1]))
-                else:
-                    grow(m, h, dv)
+                else:  # genus G - 3: the tails (1), (1,1), (1,1,1), (1,2), (2), (2,1) and (3) of k_m, in walk order
+                    cell = at + child + dv * moduli  # (G, dv, m + 1)
+                    fits = True  # whether the forward pairs allow k_m = 3: only a pair 1 + 1 rules it out
+                    for i in range(1, m // 2 + 1):
+                        if k[i] + k[m - i] == 2:
+                            fits = False
+                            break
+                    least = floor(m + 1) if deep and (fits or low < genus) else 0  # the least k_m
+                    k[m] = k[m + 1] = 1
+                    if low <= short and least <= 1:
+                        tally[cell - 2 * plane] += 1
+                    least1 = floor(m + 2) if deep else 0  # the least k_(m+1) after k_m = 1
+                    if low < genus and least1 <= 1:
+                        tally[cell + 1 - plane] += 1
+                    k[m + 2] = 1
+                    if not deep or floor(m + 3) <= 1:
+                        tally[cell + 2] += 1
+                        if items is not None and query.selects(dv, m + 3):
+                            items.append(tuple(k[1 : m + 3]))
+                    d2 = dv if dv > 2 else 2
+                    cell2 = at + child + d2 * moduli  # (G, max(dv, 2), m + 1)
+                    k[m + 1] = 2
+                    if least1 <= 2:
+                        tally[cell2 + 1] += 1
+                        if items is not None and query.selects(d2, m + 2):
+                            items.append(tuple(k[1 : m + 2]))
+                    k[m], k[m + 1] = 2, 1
+                    if low < genus and least <= 2:
+                        tally[cell2 - plane] += 1
+                    if not deep or floor(m + 2) <= 1:
+                        tally[cell2 + 1] += 1
+                        if items is not None and query.selects(d2, m + 2):
+                            items.append(tuple(k[1 : m + 2]))
+                    k[m] = 3
+                    if fits and least <= 3:
+                        d3 = dv if dv > 3 else 3
+                        tally[at + child + d3 * moduli] += 1
+                        if items is not None and query.selects(d3, m + 1):
+                            items.append(tuple(k[1 : m + 1]))
         if hi >= deeper:
             deep.pop()
 

@@ -427,7 +427,8 @@ def test_filtered_histogram_is_the_selected_cells():
 
 
 def test_every_filter_at_either_end_of_low():
-    # the tally's axes fit every window, those that rule every multiplicity out or hold one part included
+    # the tally's axes fit every window, those that rule every multiplicity out or hold one part included;
+    # the lows G - 3 to G - 1 split the tails a node three genus short counts in place
     full = census_histograms(q(10), low=0)
     for g in range(11):
         depth_filters = [{}] + [{name: d} for name in ("depth", "max_depth") for d in range(g + 2)]
@@ -435,8 +436,8 @@ def test_every_filter_at_either_end_of_low():
             for mult in [None, *range(2, g + 3)]:
                 query = q(g, mult=mult, **f)
                 want = {h: Counter({c: n for c, n in full[h].items() if query.selects(*c)}) for h in range(g + 1)}
-                assert census_histograms(query, low=0) == want, query
-                assert census_histograms(query, low=g) == {g: want[g]}, query
+                for low in sorted({0, *range(max(g - 3, 0), g + 1)}):
+                    assert census_histograms(query, low=low) == {h: want[h] for h in range(low, g + 1)}, (query, low)
     assert census_histograms(q(10, max_depth=10**9), low=0) == full  # the depth axis stops at the genus
 
 
@@ -458,7 +459,7 @@ def test_semigroup_tree_agrees_with_the_census():
         for f in shapes + [q(g, depth=d) for d in range(g + 1)]:
             assert sum(census_histograms(f)[g].values()) == sum(n for c, n in hist.items() if f.selects(*c)), f
     assert census_histograms(q(16), low=0) == {g: +hist for g, hist in enumerate(tree)}
-    # one filtered pass from genus 0, whose last two levels are counted in place, cell by cell
+    # one filtered pass from genus 0, whose last three levels are counted in place, cell by cell
     for f in one_pass_filters(16):
         query = q(16, **f)
         want = {g: Counter({c: n for c, n in hist.items() if query.selects(*c)}) for g, hist in enumerate(tree)}
@@ -484,3 +485,12 @@ def test_the_last_coordinate_paired_with_itself_bounds_it_from_below():
     for mult in (4, None):
         assert (4, 8, 3) not in census_coords(q(15, mult=mult))
         assert (4, 8, 4) in census_coords(q(16, mult=mult))
+
+
+def test_each_tail_of_a_node_three_genus_short_has_its_own_check():
+    # each vector fails one check of one tail that a node of genus G - 3 counts in place: a forward pair
+    # 1 + 1 rules out (3), and a wrap-around pair (2,1), (1,1,1) or (1,2); a one-part window grows them instead
+    for v, pair in [((1, 3), (1, 1)), ((4, 1, 2, 1), (2, 4)), ((4, 1, 1, 1), (2, 4)), ((4, 1, 1, 2), (3, 3))]:
+        assert coords_violation(v) == pair
+        for mult in (None, len(v) + 1):
+            assert v not in census_coords(q(sum(v), mult=mult)), (v, mult)
