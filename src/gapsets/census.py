@@ -34,10 +34,10 @@ the package: a caller that wants the sets builds them with
 
 A sharded census splits the search by its first coordinate: shard k holds
 the gapsets with k_1 = k.  The calling process and up to jobs - 1 forked
-children take the shards one at a time from a single pipe that carries
-their first coordinates, so the work balances itself; each child writes
-its tally into its own row of one shared anonymous map, and the caller adds
-the rows cell by cell once it has reaped their children.
+children each walk the shards they take, one at a time, from a single
+pipe of first coordinates into one tally, so the work balances itself;
+each child's tally goes into its own row of one shared anonymous map, and
+the caller adds the rows cell by cell once it has reaped their children.
 No process pool is started, and a platform without `os.fork` runs the
 census whole in the calling process.
 
@@ -54,7 +54,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "MAX_GENUS",
@@ -122,14 +122,15 @@ def _search_bounds(query: CensusQuery) -> tuple[int, int, int, int, int]:
     of the tally's depth and modulus axes.  A conductor is at most 2g, so
     depth <= ceil(2g/m) at every genus g up to G.  A multiplicity m fixes
     the window at m - 1 and caps every coordinate at ceil(2G/m); an exact
-    depth q >= 2 caps the window, since m <= ceil(2G/(q - 1)) - 1.  With
-    both, pmin > pmax when the depth rules m out: nothing is searched.
+    depth q >= 2 caps the window, since m <= ceil(2G/(q - 1)) - 1, and no
+    gapset of genus G has more than G parts.  When the depth or the genus
+    rules m out, pmin > pmax: nothing is searched.
     Every coordinate is at most the cap, and every modulus at most pmax + 1,
     or 2: the root places k_1 even when the depth rules every multiplicity
     out."""
     bound = query.depth if query.depth is not None else query.max_depth
     cap = query.genus if bound is None else min(bound, query.genus)
-    pmin, pmax = (1, query.genus) if query.mult is None else (query.mult - 1, query.mult - 1)
+    pmin, pmax = (1, query.genus) if query.mult is None else (query.mult - 1, min(query.mult - 1, query.genus))
     if query.mult is not None:
         cap = min(cap, -(-2 * query.genus // query.mult))
     if (query.depth or 0) >= 2:
@@ -138,7 +139,7 @@ def _search_bounds(query: CensusQuery) -> tuple[int, int, int, int, int]:
 
 
 def _census(
-    query: CensusQuery, low: int, first: Optional[int] = None, items: Optional[list] = None
+    query: CensusQuery, low: int, firsts: Iterable[Optional[int]] = (None,), items: Optional[list] = None
 ) -> list[int]:
     """Gapsets by (genus, depth, modulus) for each genus from `low` up to
     the query's, as one flat list: cell (g, q, m) is at index ((g - low) *
@@ -148,25 +149,26 @@ def _census(
     of each selected gapset, in the lexicographic order of the walk.
 
     Every coordinate is at most the cap; a node counts with pmin to pmax
-    parts and grows below pmax; `first` (if set) fixes k_1, and shard 1
-    also owns the empty gapset.  Position p is capped by k_i + k_(p-i)
-    whatever the final length (scanned for caps of 3 or more).  `deep` is
-    the stack of the positions whose coordinate is 4 or more: a loop
-    pushes its position once its value reaches 4 and pops it when done.
-    `floor(m)` scans only those k_t for the wrap-around pairs of modulus
-    m and returns the least k_(m-1) they allow, or a value above any cap
-    when a pair without k_(m-1) fails.  The loop at position p calls it
-    at most once, for its first node of genus `low` or more, and only
-    with `deep` non-empty; each node then counts if its value is at
-    least that floor.  A node of genus G - 1 gets no call: its one child,
-    k_m = 1, is counted in place, against `floor(m + 1)`.  Nor does a
-    node of genus G - 2 inside the window with a cap of 2 or more: its
-    children k_m = 1 (with that one's only child, k_(m+1) = 1, against
-    `floor(m + 2)`) and k_m = 2 are counted in place, in walk order, both
-    values of k_m against one `floor(m + 1)`.  Nor does a node of genus
-    G - 3 with a cap of 3 or more and its grandchildren inside the window:
-    its tails (1), (1,1), (1,1,1), (1,2), (2), (2,1) and (3) are, against
-    `floor(m + 1)`, `floor(m + 2)` once per k_m < 3 and `floor(m + 3)`.
+    parts and grows below pmax.  Each `first` that `firsts` yields is one
+    walk into the same tally: None walks every k_1, an int fixes k_1, and
+    the walk of None or shard 1 also owns the empty gapset.  Position p is
+    capped by k_i + k_(p-i) whatever the final length (scanned for caps of 3
+    or more).  `deep` is the stack of the positions whose coordinate is 4 or
+    more: a loop pushes its position once its value reaches 4 and pops it
+    when done.  `floor(m)` scans only those k_t for the wrap-around pairs of
+    modulus m and returns the least k_(m-1) they allow, or a value above any
+    cap when a pair without k_(m-1) fails.  The loop at position p calls it
+    at most once, for its first node of genus `low` or more, and only with
+    `deep` non-empty; each node then counts if its value is at least that
+    floor.  A node of genus G - 1 gets no call: its one child, k_m = 1, is
+    counted in place, against `floor(m + 1)`.  Nor does a node of genus G - 2
+    inside the window with a cap of 2 or more: its children k_m = 1 (with
+    that one's only child, k_(m+1) = 1, against `floor(m + 2)`) and k_m = 2
+    are counted in place, in walk order, both values of k_m against one
+    `floor(m + 1)`.  Nor does a node of genus G - 3 with a cap of 3 or more
+    and its grandchildren inside the window: its tails (1), (1,1), (1,1,1),
+    (1,2), (2), (2,1) and (3) are, against `floor(m + 1)`, `floor(m + 2)`
+    once per k_m < 3 and `floor(m + 3)`.
     """
     genus = query.genus
     cap, pmin, pmax, depths, moduli = _search_bounds(query)
@@ -302,11 +304,12 @@ def _census(
         if hi >= deeper:
             deep.pop()
 
-    if low == 0 and first in (None, 1):  # under any filter: the histograms filter its cell (0, 0, 1)
-        tally[1] += 1
-        if items is not None and query.selects(0, 1):
-            items.append(())
-    grow(1, 0, 0)
+    for first in firsts:  # `grow` reads the current one
+        if low == 0 and first in (None, 1):  # under any filter: the histograms filter its cell (0, 0, 1)
+            tally[1] += 1
+            if items is not None and query.selects(0, 1):
+                items.append(())
+        grow(1, 0, 0)
     return tally
 
 
@@ -321,29 +324,22 @@ def _shards(query: CensusQuery, jobs: int) -> int:
     return shards if jobs > 1 and shards > 1 and pmin <= pmax and hasattr(os, "fork") else 1
 
 
-def _take_shards(query: CensusQuery, low: int, tasks: int, cells: int) -> list[int]:
-    """The summed tallies of every shard this process takes from the task
-    pipe: one byte, a shard's first coordinate, per read, until it is empty."""
-    tally = [0] * cells
-    while first := os.read(tasks, 1):
-        tally = list(map(add, tally, _census(query, low, first[0])))
-    return tally
-
-
 def _census_shards(query: CensusQuery, low: int, shards: int, workers: int) -> list[int]:
     """The summed tally of shards 1..`shards`, from this process and
-    workers - 1 forked children pulling first coordinates from one pipe;
-    each child writes its tally into its own row of one shared map, as
-    64-bit cells (a cell that does not fit fails the child).  A child that
-    fails raises ChildProcessError; on any error, this process's own
-    included, every child still running is killed, and every child is
-    reaped."""
+    workers - 1 forked children, each making one `_census` call over the
+    first coordinates it reads from one pipe, a byte a shard, until the
+    pipe is empty; each child writes its tally into its own row of one
+    shared map, as 64-bit cells (a cell that does not fit fails the
+    child).  A child that fails raises ChildProcessError; on any error,
+    this process's own included, every child still running is killed, and
+    every child is reaped."""
     from array import array
     from mmap import mmap
 
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(1, shards + 1)))  # at most MAX_GENUS bytes: one write, below PIPE_BUF
     os.close(feed)  # the readers see the end of the tasks once they are taken
+    taken = map(ord, iter(lambda: os.read(tasks, 1), b""))  # lazy: each process's copy reads its own shards
     _, _, _, depths, moduli = _search_bounds(query)
     cells = (query.genus - low + 1) * depths * moduli
     rows = memoryview(mmap(-1, 8 * cells * (workers - 1))).cast("q")  # MAP_SHARED: the children write it
@@ -355,7 +351,7 @@ def _census_shards(query: CensusQuery, low: int, shards: int, workers: int) -> l
             if pid == 0:  # the child's whole life, never returning into the caller's stack
                 status = 1
                 try:
-                    rows[row] = array("q", _take_shards(query, low, tasks, cells))
+                    rows[row] = array("q", _census(query, low, taken))
                     status = 0
                 except Exception:
                     import traceback
@@ -364,7 +360,7 @@ def _census_shards(query: CensusQuery, low: int, shards: int, workers: int) -> l
                 finally:
                     os._exit(status)
             children[pid] = row
-        tally = _take_shards(query, low, tasks, cells)
+        tally = _census(query, low, taken)
         for pid, row in list(children.items()):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]

@@ -3,6 +3,7 @@ import os
 import select
 import signal
 from collections import Counter
+from operator import add
 
 import pytest
 
@@ -117,6 +118,20 @@ def test_no_gapsets_of_a_multiplicity_the_depth_rules_out():
     assert count_gapsets(q(30, depth=12, mult=8)).count == 0
 
 
+def test_a_multiplicity_above_the_genus_plus_one_searches_nothing(capsys):
+    # no gapset of genus G has more than G parts: the window is empty, and the tally's modulus axis stays small
+    from gapsets import census
+    from gapsets.cli import main
+
+    query = q(5, mult=10**9)
+    assert census._search_bounds(query)[4] <= 5 + 3
+    assert count_gapsets(query).count == 0
+    assert census_histograms(query, low=0) == {g: Counter() for g in range(6)}
+    assert census_coords(query) == []
+    assert main(["count", "--genus", "5", "--mult", "1000000000"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_an_empty_window_forks_nothing(monkeypatch):
     def fork():
         raise AssertionError("forked")
@@ -214,6 +229,33 @@ def test_forks_never_outnumber_the_shards(forks):
     assert_no_child_left()
 
 
+def test_shard_walks_add_up_to_the_whole_walk():
+    # any order and any split of the first coordinates counts each cell once; the empty gapset goes with shard 1
+    from gapsets.census import _census
+
+    for f in ({}, {"max_depth": 4}, {"depth": 5}, {"mult": 4}):
+        for low in (0, 14):
+            query = q(14, **f)
+            whole = _census(query, low)
+            assert _census(query, low, range(1, 15)) == whole, (f, low)
+            assert _census(query, low, reversed(range(1, 15))) == whole, (f, low)
+            odd, even = _census(query, low, range(1, 15, 2)), _census(query, low, range(2, 15, 2))
+            assert list(map(add, odd, even)) == whole, (f, low)
+            if low == 0:  # cell (0, 0, 1): the empty gapset only
+                assert (odd[1], even[1]) == (1, 0), f
+
+
+def test_one_census_walk_per_process(forks, monkeypatch):
+    from gapsets import census
+
+    calls = []
+    real_census = census._census
+    monkeypatch.setattr(census, "_census", lambda *args: calls.append(os.getpid()) or real_census(*args))
+    assert count_gapsets(q(14), jobs=3).count == N_G[14]
+    assert calls == [os.getpid()] and len(forks) == 2  # every shard this process took, in one walk
+    assert_no_child_left()
+
+
 def test_one_pipe_per_census(forks, monkeypatch):
     pipes = []
     real_pipe = os.pipe
@@ -249,9 +291,9 @@ def failing_census(monkeypatch):
     """Makes `_census` fail in this process (`"parent"`) or only in its
     forked children (`"child"`): the failing side hands its true tally to
     `fail`, which raises, kills its process or returns a tally of its own.
-    The other side holds its first shard until the failing side has taken
-    one, then counts as usual.  Returns the signalling pipe, for the test
-    to close."""
+    Each process makes one `_census` call, so the other side holds its walk
+    until the failing side has started its own, then counts as usual.
+    Returns the signalling pipe, for the test to close."""
     from gapsets import census
 
     real_census = census._census
@@ -266,7 +308,7 @@ def failing_census(monkeypatch):
                 return fail(real_census(*args, **kwargs))
             ready, _, _ = select.select([failed_r], [], [], 10)
             if not ready:
-                raise TimeoutError("the failing side took no shard")
+                raise TimeoutError("the failing side started no walk")
             return real_census(*args, **kwargs)
 
         monkeypatch.setattr(census, "_census", fake)
