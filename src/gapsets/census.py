@@ -24,13 +24,12 @@ number.  The conductor is at most 2g, so depth <= ceil(2g/m): a
 multiplicity m fixes the window at m - 1 and caps every coordinate at
 ceil(2G/m), and an exact depth q >= 2 caps the window.  An exact depth q
 also cuts every branch still below q with less than q of the genus
-left.  Two entry points run it: `census_histograms` returns the (depth,
-multiplicity) histograms of the gapsets a `CensusQuery` selects, one per
-genus, and `census_coords` their Kunz coordinates, one tuple each.
-Counts are exact; `MAX_GENUS` keeps them in 64 bits.  The
-census returns counts and coordinates only and imports no other module of
-the package: a caller that wants the sets builds them with
-`kunz.kunz_elements`.
+left.  The tally is the census's one output: `census_histograms` reads
+off it the (depth, multiplicity) histograms of the gapsets a `CensusQuery`
+selects, one per genus, and `census_coords` records each counted gapset's
+Kunz coordinates as the count is made.  Counts are exact; `MAX_GENUS`
+keeps them in 64 bits.  The census imports no other module of the
+package: `kunz.kunz_elements` builds the sets from the coordinates.
 
 A sharded census splits the search by its first coordinate: shard k holds
 the gapsets with k_1 = k.  The calling process and up to jobs - 1 forked
@@ -138,15 +137,25 @@ def _search_bounds(query: CensusQuery) -> tuple[int, int, int, int, int]:
     return cap, pmin, pmax, cap + 1, max(pmax, 1) + 2
 
 
+class _Recording(list):  # a tally that keeps no count: cell (G, q, m) holds m if the query selects it, else 0
+    __slots__ = ("items", "k")
+
+    def __setitem__(self, cell: int, _: int) -> None:
+        if m := self[cell]:
+            self.items.append(tuple(self.k[1:m]))
+
+
 def _census(
     query: CensusQuery, low: int, firsts: Iterable[Optional[int]] = (None,), items: Optional[list] = None
 ) -> list[int]:
     """Gapsets by (genus, depth, modulus) for each genus from `low` up to
     the query's, as one flat list: cell (g, q, m) is at index ((g - low) *
     depths + q) * moduli + m, with the axis lengths of `_search_bounds`; only
-    the cells the query selects are complete.  `items` (if given, with
-    `low` the query's genus) receives the coordinates (k_1, ..., k_(m-1))
-    of each selected gapset, in the lexicographic order of the walk.
+    the cells the query selects are complete.  With `items` (and `low` the
+    query's genus) the tally is a `_Recording`, which keeps no count: a
+    count of a cell (G, q, m) the query selects appends k[1:m] to `items`.
+    Every count comes after k holds its gapset, and the `low < genus` and
+    `low <= short` guards keep every count in plane G.
 
     Every coordinate is at most the cap; a node counts with pmin to pmax
     parts and grows below pmax.  Each `first` that `firsts` yields is one
@@ -182,6 +191,9 @@ def _census(
     inners = [short - (cap > 2 and m + 1 < pmax) if cap > 1 and pmin <= m < pmax else genus - 1 for m in range(moduli)]
     tally = [0] * ((genus - low + 1) * plane)
     k = [0] * (genus + 2)  # k[i] is the coordinate of residue i; k[1:m] the node's
+    if items is not None:  # low == genus: every count is of a cell (G, q, m), at index q * moduli + m
+        tally = _Recording(m if query.selects(q, m) else 0 for q in range(depths) for m in range(moduli))
+        tally.items, tally.k = items, k
 
     deep: list[int] = []  # the positions t, ascending, with k_t >= 4: only such a k_t can fail a wrap-around pair
     over = genus + 1  # above any cap
@@ -234,8 +246,6 @@ def _census(
             dv = v if v > d else d
             if v >= counted:
                 tally[at + h * plane + dv * moduli] += 1
-                if items is not None and query.selects(dv, m):
-                    items.append(tuple(k[1:m]))
             if h < growing and (dv >= exact or h <= reach):
                 if h < inner:
                     grow(m, h, dv)
@@ -243,8 +253,6 @@ def _census(
                     k[m] = 1
                     if not deep or floor(m + 1) <= 1:
                         tally[at + child + dv * moduli] += 1
-                        if items is not None and query.selects(dv, m + 1):
-                            items.append(tuple(k[1 : m + 1]))
                 elif h == short:  # k_m = 1, its only child k_(m+1) = 1, then k_m = 2
                     cell = at + child + dv * moduli  # (G, dv, m + 1); every forward pair allows a 1 or a 2
                     least = floor(m + 1) if deep else 0  # the least k_m
@@ -254,14 +262,10 @@ def _census(
                     k[m + 1] = 1  # below an exact depth q, a cell the query does not select: no cut needed
                     if not deep or floor(m + 2) <= 1:
                         tally[cell + 1] += 1
-                        if items is not None and query.selects(dv, m + 2):
-                            items.append(tuple(k[1 : m + 2]))
                     k[m] = 2
                     dv = dv if dv > 2 else 2
                     if least <= 2:
                         tally[at + child + dv * moduli] += 1
-                        if items is not None and query.selects(dv, m + 1):
-                            items.append(tuple(k[1 : m + 1]))
                 else:  # genus G - 3: the tails (1), (1,1), (1,1,1), (1,2), (2), (2,1) and (3) of k_m, in walk order
                     cell = at + child + dv * moduli  # (G, dv, m + 1)
                     fits = True  # whether the forward pairs allow k_m = 3: only a pair 1 + 1 rules it out
@@ -279,36 +283,26 @@ def _census(
                     k[m + 2] = 1
                     if not deep or floor(m + 3) <= 1:
                         tally[cell + 2] += 1
-                        if items is not None and query.selects(dv, m + 3):
-                            items.append(tuple(k[1 : m + 3]))
                     d2 = dv if dv > 2 else 2
                     cell2 = at + child + d2 * moduli  # (G, max(dv, 2), m + 1)
                     k[m + 1] = 2
                     if least1 <= 2:
                         tally[cell2 + 1] += 1
-                        if items is not None and query.selects(d2, m + 2):
-                            items.append(tuple(k[1 : m + 2]))
                     k[m], k[m + 1] = 2, 1
                     if low < genus and least <= 2:
                         tally[cell2 - plane] += 1
                     if not deep or floor(m + 2) <= 1:
                         tally[cell2 + 1] += 1
-                        if items is not None and query.selects(d2, m + 2):
-                            items.append(tuple(k[1 : m + 2]))
                     k[m] = 3
                     if fits and least <= 3:
                         d3 = dv if dv > 3 else 3
                         tally[at + child + d3 * moduli] += 1
-                        if items is not None and query.selects(d3, m + 1):
-                            items.append(tuple(k[1 : m + 1]))
         if hi >= deeper:
             deep.pop()
 
     for first in firsts:  # `grow` reads the current one
         if low == 0 and first in (None, 1):  # under any filter: the histograms filter its cell (0, 0, 1)
             tally[1] += 1
-            if items is not None and query.selects(0, 1):
-                items.append(())
         grow(1, 0, 0)
     return tally
 

@@ -190,14 +190,14 @@ class CountCache:
         self.path = Path(path)
 
     def _load(self) -> bytes:
-        """The file's bytes; empty if the file is missing or unreadable."""
-        try:
-            return self.path.read_bytes()
-        except OSError:
-            return b""
+        """The file's bytes; OSError if it cannot be read, a missing file included."""
+        return self.path.read_bytes()
 
     def get(self, query: CensusQuery) -> Optional[int]:
-        data, start = self._load(), b"\n" + _record_prefix(query)  # a line that starts with the prefix
+        try:
+            data, start = self._load(), b"\n" + _record_prefix(query)  # a line that starts with the prefix
+        except FileNotFoundError:  # no file yet, or no directory, which `save` then reports
+            return None
         at = len(data)
         while (at := data.rfind(start, 0, at)) >= 0:
             if record := _RECORD.match(data, at + 1):
@@ -222,7 +222,8 @@ class CountCache:
         """Re-ask `count_gapsets` each record's query, as `count` does on a
         miss, once their largest genus passes the guard; returns how many
         records were recounted and the mismatch descriptions, the records
-        that are not census queries first."""
+        that are not census queries first.  A path it cannot read, a
+        missing file included, raises OSError: a usage error."""
         problems, checks = [], []
         for prefix, cached in dict(_RECORD.findall(self._load(), 1)).items():  # from 1: the lines `get` reads
             fields = json.loads(prefix + b"null}")  # the count is `cached`

@@ -421,6 +421,12 @@ def test_collect_matches_count_and_order():
                     and (mult is None or len(c) + 1 == mult)
                 ]
                 assert census_coords(q(g, depth, max_depth, mult)) == want
+    # past the brute-force range: the coordinates are the gapsets the histograms count, each once, in walk order
+    for g in range(13, 17):
+        for f in one_pass_filters(g) + [{"depth": d} for d in range(g + 1)]:
+            coords = census_coords(q(g, **f))
+            assert Counter((max(c, default=0), len(c) + 1) for c in coords) == census_histograms(q(g, **f))[g], (g, f)
+            assert all(a < b for a, b in zip(coords, coords[1:])), (g, f)
 
 
 def family_size(g):

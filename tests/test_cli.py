@@ -1004,9 +1004,12 @@ def test_jobs_below_one_rejected(capsys, argv):
 
 
 def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
-    cache_path = tmp_path / "missing" / "c.json"  # its directory does not exist
-    code, out, err = run(capsys, "count", "--genus", "5", "--cache", str(cache_path))
-    assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+    missing_dir = tmp_path / "missing" / "c.json"  # its directory does not exist
+    cases = [(args, path) for args in (("--genus", "5"), ("--selfcheck",)) for path in (missing_dir, tmp_path)]
+    cases.append((("--selfcheck",), tmp_path / "c.json"))  # a missing file is an empty cache to count into, not to check
+    for args, path in cases:
+        code, out, err = run(capsys, "count", *args, "--cache", str(path))
+        assert code == 2 and out == "" and "error:" in err and "Traceback" not in err, (args, path)
 
 
 @pytest.mark.parametrize("command", ["verify", "kunz"])

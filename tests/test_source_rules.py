@@ -16,6 +16,10 @@ census forks its own workers.
 No source truncates, replaces or renames a file: it names none of `os.ftruncate`,
 `os.truncate`, `os.replace`, `os.rename` and `os.O_TRUNC`.  The count cache only appends,
 so every byte a file handed to `--cache` held stays.
+
+The census walk has one output, its tally: `census_coords` records each gapset as the tally
+counts it, so the walk in `census._census` (`grow` and the loop over `firsts`) names neither
+`items` nor `selects`.
 """
 
 import ast
@@ -142,3 +146,22 @@ def test_no_file_rewrite(path):
             continue
         found += [f"{path.name}:{node.lineno}: os.{name}" for name in names if name in REWRITES]
     assert found == []
+
+
+def test_census_walk_has_one_output():
+    tree = ast.parse((SOURCES[0].parent / "census.py").read_text(encoding="utf-8"))
+    census = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_census")
+    walk = [
+        node
+        for node in census.body
+        if (isinstance(node, ast.FunctionDef) and node.name == "grow")
+        or (isinstance(node, ast.For) and isinstance(node.iter, ast.Name) and node.iter.id == "firsts")
+    ]
+    assert len(walk) == 2
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for part in walk
+        for node in ast.walk(part)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert named & {"items", "selects"} == set()
