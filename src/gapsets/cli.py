@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -68,7 +67,7 @@ QUERY_FIELDS = tuple(f.name for f in dataclasses.fields(CensusQuery))
 def count_gapsets_depth_at_most(g: int, k: int) -> int:
     """Number of gapsets of genus g and depth <= k.  No command calls it:
     perfbench/tracing.py wraps it by name in this module, and it goes with
-    the wrap (ROADMAP item 1)."""
+    the wrap (ROADMAP: "Benchmark refresh, then the deletions it unblocks")."""
     return count_gapsets(CensusQuery(g, max_depth=k)).count
 
 
@@ -290,15 +289,6 @@ TABLES = {
 }
 
 
-def _depth_sums(hist: Counter) -> Counter:
-    """One genus's (depth, multiplicity) histogram summed over the
-    multiplicities: depth -> count."""
-    sums: Counter = Counter()
-    for (q, _), n in hist.items():
-        sums[q] += n
-    return sums
-
-
 def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[list[str]]]:
     """Header and cell rows for one of the four tables, fully recomputed.
 
@@ -308,8 +298,7 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
     genera = range(spec.first_genus, gmax + 1)
     hists = census_histograms(CensusQuery(gmax, mult=spec.mult), jobs, low=spec.first_genus)
     ng = {g: sum(hist.values()) for g, hist in hists.items()}
-    by_depth = {g: _depth_sums(hist) for g, hist in hists.items()}
-    nprime = {g: sum(sums[q] for q in range(4)) for g, sums in by_depth.items()}
+    nprime = {g: sum(n for (q, _), n in hist.items() if q <= 3) for g, hist in hists.items()}
 
     if which == "t1":
         header = ["g", "2F_g", "F_{g+2}-P_{g+1}", "n'_{g-1}+n'_{g-2}", "n'_g", "n_g"]
@@ -344,6 +333,9 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
         header = ["g\\q"] + ["n'_g" if q is None else str(q) for q in depths] + ["n_g"]
         rows = []
         for g in genera:
+            by_depth = [0] * (g + 1)  # the row's histogram summed over the multiplicities
+            for (q, _), n in hists[g].items():
+                by_depth[q] += n
             cells = [str(g)]
             for q in depths:
                 if q is None:
@@ -351,7 +343,7 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
                 elif q > g or (q == 0 and g > 0):
                     cells.append("")
                 else:
-                    n = by_depth[g][q]
+                    n = by_depth[q]
                     # bold marks the entries the closed formulas reach
                     cells.append(f"**{n}**" if f_gq(g, q).covered else str(n))
             rows.append(cells + [str(ng[g])])
@@ -543,15 +535,19 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = args.genus
     _guard("genus", g, GMAX_GUARD, args.force)
-    lower = lower_bound_depth3(g)
+    lower = lower_bound_depth3(g)  # before the census: an index past its window fails at once
     hist = census_histograms(CensusQuery(g), args.jobs)[g]
-    sums = _depth_sums(hist)
-    nprime = sum(sums[q] for q in range(4))
-    ng = sum(hist.values())
     ms = [args.M] if args.M is not None else [2, 3, 4]
-    ubs = {M: upper_bound_ng(g, M, hist) for M in ms}
-    closed = upper_bound_ng_closedN(g) if g >= 4 else None
-    power = 1 << (g - 1)
+    record = {
+        "genus": g,
+        "lower_depth3": lower,
+        "n_prime": sum(n for (q, _), n in hist.items() if q <= 3),
+        "n_g": sum(hist.values()),
+        "upper": {str(M): upper_bound_ng(g, M, hist) for M in ms},
+        "upper_closedN": upper_bound_ng_closedN(g) if g >= 4 else None,
+        "power": 1 << (g - 1),
+    }
+    g, lower, nprime, ng, ubs, closed, power = record.values()
 
     violations = []
     if not (lower <= nprime <= ng):
@@ -563,18 +559,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         violations.append(f"n_g {ng} exceeds closed-N bound {closed}")
     if ng > power:
         violations.append(f"n_g {ng} exceeds 2^(g-1) {power}")
+    record.update(ok=not violations, violations=violations)
 
-    record = {
-        "genus": g,
-        "lower_depth3": lower,
-        "n_prime": nprime,
-        "n_g": ng,
-        "upper": {str(M): ub for M, ub in ubs.items()},
-        "upper_closedN": closed,
-        "power": power,
-        "ok": not violations,
-        "violations": violations,
-    }
     lines = [
         f"genus {g}",
         f"lower bound (depth<=3 family): {lower}",

@@ -333,6 +333,8 @@ def too_wide(tally):  # a count no 64-bit cell holds
 
 
 def test_a_failing_child_raises_and_every_child_is_reaped(failing_census, capfd):
+    from gapsets.cli import main
+
     for fail, message, printed in (
         (raising(RuntimeError), "exited with status 1", "injected census failure"),  # the child's traceback
         (killed, "was killed by signal 9", ""),
@@ -348,6 +350,15 @@ def test_a_failing_child_raises_and_every_child_is_reaped(failing_census, capfd)
                 os.close(fd)
         err = capfd.readouterr().err
         assert printed in err and ("Traceback" in err) == bool(printed), message
+        assert_no_child_left()
+        fds = failing_census("child", fail)
+        try:  # on the command line: ChildProcessError is an OSError, so exit 2 with no result printed
+            assert main(["count", "--genus", "12", "--jobs", "2"]) == 2
+        finally:
+            for fd in fds:
+                os.close(fd)
+        out, err = capfd.readouterr()
+        assert out == "" and "error: census shard worker" in err and message in err, message
         assert_no_child_left()
         assert open_fds() == before
 

@@ -838,6 +838,19 @@ def test_bounds(capsys):
     code, out, _ = run(capsys, "bounds", "--genus", "2", "--format", "json")
     record = json.loads(out)
     assert code == 0 and record["n_g"] == 2 == record["power"]
+    # each field is the cell tables t1 and t3 print for its genus, g = 1..16
+    rows = {}
+    for which in ("t1", "t3"):
+        code, out, _ = run(capsys, "table", "--which", which, "--gmax", "16", "--format", "csv")
+        assert code == 0
+        rows[which] = {int(row[0]): row for row in (line.split(",") for line in out.splitlines()[1:])}
+    for g in range(1, 17):
+        code, out, _ = run(capsys, "bounds", "--genus", str(g), "--format", "json")
+        record = json.loads(out)
+        assert code == 0 and record["ok"], g
+        t1, t3 = rows["t1"][g], rows["t3"][g]
+        assert [t1[2], t1[4], t1[5]] == [str(record[f]) for f in ("lower_depth3", "n_prime", "n_g")], g
+        assert t3[2:] == [str(record["upper"][M]) for M in "432"] + [str(record["power"])], g
 
 
 def test_bounds_with_a_huge_M_returns_at_once(capsys):

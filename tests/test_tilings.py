@@ -36,6 +36,9 @@ def test_rejects_bad_arguments():
         with pytest.raises(ValueError) as fixed:
             list(compositions_fixed_parts(g, 1, max_part=max_part))
         assert str(fixed.value) == str(full.value)
+    for parts in (0, -1):
+        with pytest.raises(ValueError, match="part count must be >= 1"):
+            list(compositions_fixed_parts(5, parts))
 
 
 def test_lexicographic_and_exact():
