@@ -267,8 +267,8 @@ def emit(fmt: str, record: dict, lines: Sequence[str], row: Optional[dict] = Non
         print(json.dumps(record))
     elif fmt == "csv":
         sys.stdout.write(_render_csv(list(row), [["" if v is None else str(v) for v in row.values()]]))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
+    else:  # the trailing "" ends the last line; an empty list prints nothing
+        sys.stdout.write("\n".join([*lines, ""]))
 
 
 class TableSpec(NamedTuple):
@@ -432,73 +432,59 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_lines(elements: tuple[int, ...], m: Optional[int]) -> tuple[list[str], dict, bool]:
-    """Shared verify logic: plain lines, json record, gapset verdict."""
-    verdict = classify_gapset(elements)
-    ok = isinstance(verdict, GapSet)
-    genus, multiplicity, conductor, depth = invariants(elements)
-    modulus = m if m is not None else multiplicity
-
-    lines = [f"set: {format_set(elements) or '(empty)'}"]
-    record: dict = {"set": list(elements)}
-    if ok:
-        lines.append("gapset: yes")
-        record["gapset"] = True
-        record["witness"] = None
-    else:
-        lines.append(f"gapset: no ({verdict.z} = {verdict.x} + {verdict.y})")
-        record["gapset"] = False
-        record["witness"] = {"z": verdict.z, "x": verdict.x, "y": verdict.y}
-
-    # the set's own invariants, whatever the verdicts turn out to be
-    lines.append(
-        f"genus: {genus}; multiplicity: {multiplicity}; conductor: {conductor}; depth: {depth}"
-    )
-    record.update(genus=genus, multiplicity=multiplicity, conductor=conductor, depth=depth)
-
-    if modulus < 2:
-        lines.append("m-extension: n/a (modulus would be 1)")
-        record["m_extension"] = None
-        return lines, record, ok
-
-    ext = classify_m_extension(elements, modulus)
-    if not isinstance(ext, MExtension):
-        lines.append(f"m-extension (m={modulus}): no ({ext})")
-        record["m_extension"] = {"m": modulus, "ok": False, "reason": ext.reason, "witness": ext.witness}
-        return lines, record, ok
-
-    lines.append(f"m-extension (m={modulus}): yes")
-    ap = pseudo_apery(ext)
-    kv = pseudo_kunz(ext)
-    violation = kunz_system_violation(kv)
-    lines.append(f"pseudo-Apery: {format_set(ap.w)}")
-    lines.append(f"pseudo-Kunz: {format_kunz(kv)}  tiling {format_composition(kv.coords)}")
-    if violation is None:
-        lines.append("kunz-system: satisfied")
-    else:
-        lines.append(f"kunz-system: violated at (i,j)=({violation[0]},{violation[1]})")
-    record["m_extension"] = {"m": modulus, "ok": True, "reason": None, "witness": None}
-    record["apery"] = list(ap.w)
-    record["kunz"] = {"m": kv.modulus, "coords": list(kv.coords)}
-    record["kunz_system"] = {"ok": violation is None, "violation": list(violation) if violation else None}
-    return lines, record, ok
+def _modulus(mult: Optional[int], multiplicity: int) -> Optional[int]:
+    """The m-extension check's modulus: --mult, else the set's multiplicity;
+    None when that is 1, which has no m-extension."""
+    m = multiplicity if mult is None else mult
+    return m if m > 1 else None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     elements = tuple(sorted(parse_set(args.set)))
-    lines, record, ok = _report_lines(elements, args.mult)
+    verdict = classify_gapset(elements)
+    ok = isinstance(verdict, GapSet)
+    genus, multiplicity, conductor, depth = invariants(elements)
+    record = {
+        "set": list(elements),
+        "gapset": ok,
+        "witness": None if ok else vars(verdict),  # a GapsetRejection's z, x, y
+        # the set's own invariants, whatever the verdicts turn out to be
+        "genus": genus, "multiplicity": multiplicity, "conductor": conductor, "depth": depth,
+        "m_extension": None,
+    }
+    lines = [
+        f"set: {format_set(elements) or '(empty)'}",
+        "gapset: yes" if ok else f"gapset: no ({verdict.z} = {verdict.x} + {verdict.y})",
+        f"genus: {genus}; multiplicity: {multiplicity}; conductor: {conductor}; depth: {depth}",
+    ]
+    if (m := _modulus(args.mult, multiplicity)) is None:
+        lines.append("m-extension: n/a (modulus would be 1)")
+    elif not isinstance(ext := classify_m_extension(elements, m), MExtension):
+        record["m_extension"] = {"m": m, "ok": False, **vars(ext)}  # its reason and witness
+        lines.append(f"m-extension (m={m}): no ({ext})")
+    else:
+        ap, kv = pseudo_apery(ext), pseudo_kunz(ext)
+        violation = kunz_system_violation(kv)
+        record["m_extension"] = {"m": m, "ok": True, "reason": None, "witness": None}
+        record["apery"] = list(ap.w)
+        record["kunz"] = {"m": kv.modulus, "coords": list(kv.coords)}
+        record["kunz_system"] = {"ok": violation is None, "violation": list(violation) if violation else None}
+        lines += [
+            f"m-extension (m={m}): yes",
+            f"pseudo-Apery: {format_set(ap.w)}",
+            f"pseudo-Kunz: {format_kunz(kv)}  tiling {format_composition(kv.coords)}",
+            "kunz-system: " + ("satisfied" if violation is None else "violated at (i,j)=(%d,%d)" % violation),
+        ]
     emit(args.format, record, lines)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_kunz(args: argparse.Namespace) -> int:
     elements = tuple(sorted(parse_set(args.set)))
-    m = args.mult if args.mult is not None else invariants(elements)[1]
-    if m < 2:
+    if (m := _modulus(args.mult, invariants(elements)[1])) is None:
         raise ValueError("modulus would be 1; pass --mult")
-    ext = classify_m_extension(elements, m)
-    if not isinstance(ext, MExtension):
-        print(str(ext), file=sys.stderr)
+    if not isinstance(ext := classify_m_extension(elements, m), MExtension):
+        print(ext, file=sys.stderr)
         return EXIT_NEGATIVE
     kv = pseudo_kunz(ext)
     emit(args.format, {"m": kv.modulus, "coords": list(kv.coords)}, [format_kunz(kv)])
@@ -585,20 +571,17 @@ def cmd_formula(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    name = args.name
-    if args.k is not None and name != "fibonacci-k":
-        raise ValueError(f"--k is read only by fibonacci-k, not by {name}")
-    if name == "fibonacci":
-        value = fibonacci(args.n)
-    elif name == "fibonacci-k":
-        if args.k is None:
-            raise ValueError("--k is required for fibonacci-k")
-        value = fibonacci_k(args.k, args.n)
-    elif name == "padovan":
-        value = padovan(args.n)
-    else:  # convolution
-        value = padovan_fibonacci_convolution(args.n)
-    emit(args.format, {"name": name, "n": args.n, "k": args.k, "value": value}, [str(value)])
+    name, k = args.name, args.k
+    if (k is None) == (name == "fibonacci-k"):  # --k goes with fibonacci-k and only with it
+        why = "is required for fibonacci-k" if k is None else f"is read only by fibonacci-k, not by {name}"
+        raise ValueError(f"--k {why}")
+    value = {
+        "fibonacci": fibonacci,
+        "fibonacci-k": lambda n: fibonacci_k(k, n),
+        "padovan": padovan,
+        "convolution": padovan_fibonacci_convolution,
+    }[name](args.n)
+    emit(args.format, {"name": name, "n": args.n, "k": k, "value": value}, [str(value)])
     return EXIT_OK
 
 
@@ -709,7 +692,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = command("bounds", cmd_bounds, "bound sandwich for one genus", jobs=True, force=True)
     p.add_argument("--genus", type=at_least(1), required=True)
-    p.add_argument("--M", type=int, default=None)
+    p.add_argument("--M", type=at_least(2), default=None)
 
     p = command("formula", cmd_formula, "evaluate a closed-form count")
     p.add_argument("--genus", type=int, required=True)

@@ -861,6 +861,16 @@ def test_bounds_with_a_huge_M_returns_at_once(capsys):
     assert time.perf_counter() - start < 30  # the loop over M stops at multiplicity g + 1
 
 
+def test_bounds_refuses_an_M_below_2_before_the_census(capsys, monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census run")
+
+    monkeypatch.setattr(cli, "census_histograms", no_census)
+    for M in ("1", "0", "-3"):
+        code, out, err = run(capsys, "bounds", "--genus", "22", "--M", M)
+        assert code == 2 and out == "" and "--M" in err, M
+
+
 def test_bounds_reports_each_violation_and_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "upper_bound_ng", lambda g, M, hist: 0)  # a bound every n_g exceeds
     code, out, _ = run(capsys, "bounds", "--genus", "8")
@@ -903,11 +913,16 @@ def test_seq_command(capsys):
     assert code == 0 and out.strip() == "3"
     code, out, _ = run(capsys, "seq", "--name", "convolution", "--n", "10")
     assert code == 0 and out.strip() == "135"
-    code, _, _ = run(capsys, "seq", "--name", "fibonacci-k", "--n", "11")
-    assert code == 2
+    code, out, err = run(capsys, "seq", "--name", "fibonacci-k", "--n", "11")
+    assert code == 2 and out == "" and err == "error: --k is required for fibonacci-k\n"
+    # --k 0 is given: the order check, not the missing --k one, refuses it
+    code, out, err = run(capsys, "seq", "--name", "fibonacci-k", "--n", "11", "--k", "0")
+    assert code == 2 and out == "" and err == "error: order k must be >= 2, got 0\n"
     for name in ("fibonacci", "padovan", "convolution"):  # --k is read only by fibonacci-k
-        code, out, err = run(capsys, "seq", "--name", name, "--n", "5", "--k", "3", "--format", "json")
-        assert code == 2 and out == "" and "error:" in err, name
+        for k in ("3", "0"):
+            code, out, err = run(capsys, "seq", "--name", name, "--n", "5", "--k", k, "--format", "json")
+            assert code == 2 and out == "", (name, k)
+            assert err == f"error: --k is read only by fibonacci-k, not by {name}\n", (name, k)
 
 
 def test_bfile_parser(tmp_path, capsys):

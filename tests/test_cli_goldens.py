@@ -65,6 +65,11 @@ COMMANDS = [
     "enumerate --genus 13 --depth 5",
     "enumerate --genus 0 --format json",
     "enumerate --genus 9 --depth 5 --mult 3 --format json",
+    "verify --set 2,3 --mult 3",
+    "verify --set 1,2,3 --mult 3 --format json",
+    "verify --set 1,2,7 --mult 3",
+    "verify --set 1,2,7 --mult 3 --format json",
+    "kunz --set 1,2,7 --mult 3",
 ]
 
 
