@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -73,7 +72,7 @@ def count_gapsets_depth_at_most(g: int, k: int) -> int:
 
 def bundled_bfile() -> Path:
     """Path of the A007323 fixture shipped with the package."""
-    return Path(str(resources.files("gapsets").joinpath("data/b007323.txt")))
+    return Path(__file__).with_name("data") / "b007323.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +175,13 @@ class CountCache:
     mid-write leaves at most a torn last line, which the next record's
     newline closes.
 
-    `get` and `selfcheck` read the file at each call, so they see every
+    `get` and `records` read the file at each call, so they see every
     record any writer has saved.  `get` searches the bytes backwards for
     the query's record prefix (its record up to the count) at the start of
     a line and takes the first hit that `_RECORD` reads whole, with no JSON
     parse, so the later record wins and a torn or foreign line is passed
-    over.  Only `selfcheck` reads every record: it recounts each the way a
-    miss counts it, one query at a time.
+    over.  Only `records` reads every record, for `count --selfcheck` to
+    recount.
     """
 
     def __init__(self, path: Path):
@@ -217,26 +216,11 @@ class CountCache:
         finally:
             os.close(fd)
 
-    def selfcheck(self, jobs: int = 1, force: bool = False) -> tuple[int, list[str]]:
-        """Re-ask `count_gapsets` each record's query, as `count` does on a
-        miss, once their largest genus passes the guard; returns how many
-        records were recounted and the mismatch descriptions, the records
-        that are not census queries first.  A path it cannot read, a
-        missing file included, raises OSError: a usage error."""
-        problems, checks = [], []
-        for prefix, cached in dict(_RECORD.findall(self._load(), 1)).items():  # from 1: the lines `get` reads
-            fields = json.loads(prefix + b"null}")  # the count is `cached`
-            del fields["count"]
-            label = " ".join(f"{f}={v}" for f, v in fields.items())
-            try:
-                checks.append((label, CensusQuery(**fields), int(cached)))
-            except (ValueError, OverflowError):
-                problems.append(f"{label}: not a census query")
-        _guard("genus", max((query.genus for _, query, _ in checks), default=0), GMAX_GUARD, force)
-        for label, query, cached in checks:
-            if (fresh := count_gapsets(query, jobs).count) != cached:
-                problems.append(f"{label}: cached {cached} != recomputed {fresh}")
-        return len(checks), problems
+    def records(self) -> list[tuple[dict, int]]:
+        """Each record's query fields, in QUERY_FIELDS order as its prefix holds them, and count, the
+        later record of a query winning.  A path it cannot read, a missing file included, raises OSError."""
+        index = dict(_RECORD.findall(self._load(), 1))  # from 1: the lines `get` reads
+        return [(dict(zip(QUERY_FIELDS, json.loads(p + b"0}").values())), int(n)) for p, n in index.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +244,10 @@ def _render_csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def emit(fmt: str, record: dict, lines: Sequence[str], row: Optional[dict] = None) -> None:
-    """Print one result in the chosen format: `record` as JSON, `row` as a
-    one-row CSV table (None as an empty cell), or the plain `lines`."""
+def emit(fmt: str, record: dict, lines: Sequence[str]) -> None:
+    """Print one result in the chosen format: `record` as JSON, or the plain `lines`."""
     if fmt == "json":
         print(json.dumps(record))
-    elif fmt == "csv":
-        sys.stdout.write(_render_csv(list(row), [["" if v is None else str(v) for v in row.values()]]))
     else:  # the trailing "" ends the last line; an empty list prints nothing
         sys.stdout.write("\n".join([*lines, ""]))
 
@@ -374,13 +355,20 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.selfcheck:
         if cache is None or args.format != "plain" or any(getattr(args, f) is not None for f in QUERY_FIELDS):
             raise ValueError("--selfcheck needs --cache and takes no query flags and no --format")
-        verified, problems = cache.selfcheck(jobs=args.jobs, force=args.force)
-        for p in problems:
-            print(p)
-        if problems:
-            return EXIT_INTERNAL
-        print(f"cache ok: {verified} entries verified")
-        return EXIT_OK
+        # recount each record's query as a miss counts it, the records that are not census queries first
+        problems, checks = [], []
+        for fields, cached in cache.records():
+            label = " ".join(f"{f}={v}" for f, v in fields.items())
+            try:
+                checks.append((label, CensusQuery(**fields), cached))
+            except (ValueError, OverflowError):
+                problems.append(f"{label}: not a census query")
+        _guard("genus", max((query.genus for _, query, _ in checks), default=0), GMAX_GUARD, args.force)
+        for label, query, cached in checks:
+            if (fresh := count_gapsets(query, args.jobs).count) != cached:
+                problems.append(f"{label}: cached {cached} != recomputed {fresh}")
+        print("\n".join(problems or [f"cache ok: {len(checks)} entries verified"]))
+        return EXIT_INTERNAL if problems else EXIT_OK
 
     query = _census_query(args)
     count = cache.get(query) if cache else None
@@ -393,6 +381,10 @@ def cmd_count(args: argparse.Namespace) -> int:
             cache.save(query, count)
 
     fields = vars(query)
+    if args.format == "csv":  # a one-row table: the query's fields (None as an empty cell), then the count
+        row = {**fields, "count": count}
+        sys.stdout.write(_render_csv(list(row), [["" if v is None else str(v) for v in row.values()]]))
+        return EXIT_OK
     record = {
         "query": fields,
         "count": count,
@@ -400,7 +392,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         "shards": shards,
         "cached": cached,
     }
-    emit(args.format, record, [str(count)], row={**fields, "count": count})
+    emit(args.format, record, [str(count)])
     return EXIT_OK
 
 
@@ -570,17 +562,21 @@ def cmd_formula(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# `seq --name`'s choices and values at (n, k), each function looked up at call time (tracers rebind them)
+SEQUENCES = {
+    "fibonacci": lambda n, k: fibonacci(n),
+    "fibonacci-k": lambda n, k: fibonacci_k(k, n),
+    "padovan": lambda n, k: padovan(n),
+    "convolution": lambda n, k: padovan_fibonacci_convolution(n),
+}
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
     name, k = args.name, args.k
     if (k is None) == (name == "fibonacci-k"):  # --k goes with fibonacci-k and only with it
         why = "is required for fibonacci-k" if k is None else f"is read only by fibonacci-k, not by {name}"
         raise ValueError(f"--k {why}")
-    value = {
-        "fibonacci": fibonacci,
-        "fibonacci-k": lambda n: fibonacci_k(k, n),
-        "padovan": padovan,
-        "convolution": padovan_fibonacci_convolution,
-    }[name](args.n)
+    value = SEQUENCES[name](args.n, k)
     emit(args.format, {"name": name, "n": args.n, "k": k, "value": value}, [str(value)])
     return EXIT_OK
 
@@ -700,11 +696,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--mult", type=int, choices=(3, 4), default=None, help="omit for the depth-only formula")
 
     p = command("seq", cmd_seq, "evaluate a sequence")
-    p.add_argument(
-        "--name",
-        choices=["fibonacci", "fibonacci-k", "padovan", "convolution"],
-        required=True,
-    )
+    p.add_argument("--name", choices=list(SEQUENCES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
 

@@ -785,6 +785,20 @@ def test_cli_import_loads_no_process_pool():
     assert got == ["[]\n", "0 592 []\n"]
 
 
+def test_console_entry_point():
+    # `python -m gapsets.cli` runs `run()`, which exits with the code `main` returns
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argvs = [["count", "--genus", "5"], ["verify", "--set", "1,2,4,7,10"], ["count", "--genus", "40"], []]
+    got = [
+        subprocess.run([sys.executable, "-m", "gapsets.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
+        for argv in argvs
+    ]
+    assert [proc.returncode for proc in got] == [0, 1, 2, 2]
+    assert got[0].stdout == "12\n" and "--force" in got[2].stderr
+
+
 def test_table_t4(capsys):
     code, out, _ = run(capsys, "table", "--which", "t4", "--gmax", "18")
     assert code == 0

@@ -20,6 +20,11 @@ so every byte a file handed to `--cache` held stays.
 The census walk has one output, its tally: `census_coords` records each gapset as the tally
 counts it, so the walk in `census._census` (`grow` and the loop over `firsts`) names neither
 `items` nor `selects`.
+
+The count cache holds only its log: the body of `cli.CountCache` names none of `count_gapsets`,
+`census_histograms`, `_guard` and `GMAX_GUARD`.  It reads and appends records; `count --selfcheck`
+builds the queries, applies the genus guard and recounts them, so the record format and the
+recount can change apart.
 """
 
 import ast
@@ -165,3 +170,14 @@ def test_census_walk_has_one_output():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert named & {"items", "selects"} == set()
+
+
+def test_count_cache_holds_only_its_log():
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    cache = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CountCache")
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(cache)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert named & {"count_gapsets", "census_histograms", "_guard", "GMAX_GUARD"} == set()
