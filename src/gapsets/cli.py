@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .census import CensusQuery, census_coords, census_histograms, count_gapsets
-from .core import GapSet, MExtension, classify_gapset, classify_m_extension, invariants
+from .core import GapSet, MExtension, as_elements, classify_gapset, classify_m_extension, invariants
 from .formulas import (
     f_gq,
     f_gq3,
@@ -80,14 +80,13 @@ def bundled_bfile() -> Path:
 
 
 def parse_set(text: str) -> tuple[int, ...]:
-    """Set literal: comma-separated positive integers, e.g. "1,2,4,7,10"."""
+    """Set literal: comma-separated distinct positive integers, e.g. "1,2,4,7,10"; returned ascending."""
     body = text.strip()
-    if not body:
-        return ()
     try:
-        return tuple(int(tok) for tok in body.split(","))
+        values = [int(tok) for tok in body.split(",")] if body else []
     except ValueError as exc:
         raise ValueError(f"bad set literal {text!r}") from exc
+    return as_elements(values)
 
 
 def format_set(elements: Sequence[int]) -> str:
@@ -335,18 +334,19 @@ def table_rows(which: str, gmax: int, jobs: int = 1) -> tuple[list[str], list[li
 # subcommands
 
 
-def _guard(what: str, value: int, guard: int, force: bool) -> None:
-    """Refuse a run past a desk-scale guard, saying how to force it."""
-    if value > guard and not force:
-        raise ValueError(f"{what} {value} above guard {guard}; pass --force")
+def _guard(what: str, query: CensusQuery, guard: int, force: bool) -> CensusQuery:
+    """The query, if forced or its genus is within a desk-scale guard; a bad query failed as it was built."""
+    if query.genus > guard and not force:
+        raise ValueError(f"{what} {query.genus} above guard {guard}; pass --force")
+    return query
 
 
 def _census_query(args: argparse.Namespace) -> CensusQuery:
     """The query of count's or enumerate's flags, which must name a genus within the guard."""
     if args.genus is None:
         raise ValueError("--genus is required")
-    _guard("genus", args.genus, GMAX_GUARD, args.force)
-    return CensusQuery(args.genus, args.depth, args.max_depth, args.mult)
+    query = CensusQuery(args.genus, args.depth, args.max_depth, args.mult)
+    return _guard("genus", query, GMAX_GUARD, args.force)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -363,7 +363,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 checks.append((label, CensusQuery(**fields), cached))
             except (ValueError, OverflowError):
                 problems.append(f"{label}: not a census query")
-        _guard("genus", max((query.genus for _, query, _ in checks), default=0), GMAX_GUARD, args.force)
+        _guard("genus", CensusQuery(max((q.genus for _, q, _ in checks), default=0)), GMAX_GUARD, args.force)
         for label, query, cached in checks:
             if (fresh := count_gapsets(query, args.jobs).count) != cached:
                 problems.append(f"{label}: cached {cached} != recomputed {fresh}")
@@ -432,10 +432,11 @@ def _modulus(mult: Optional[int], multiplicity: int) -> Optional[int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    elements = tuple(sorted(parse_set(args.set)))
+    elements = parse_set(args.set)
     verdict = classify_gapset(elements)
     ok = isinstance(verdict, GapSet)
-    genus, multiplicity, conductor, depth = invariants(elements)
+    # a GapSet's fields after its elements are the invariants; only a rejected set is measured again
+    genus, multiplicity, conductor, depth = list(vars(verdict).values())[1:] if ok else invariants(elements)
     record = {
         "set": list(elements),
         "gapset": ok,
@@ -472,7 +473,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_kunz(args: argparse.Namespace) -> int:
-    elements = tuple(sorted(parse_set(args.set)))
+    elements = parse_set(args.set)
     if (m := _modulus(args.mult, invariants(elements)[1])) is None:
         raise ValueError("modulus would be 1; pass --mult")
     if not isinstance(ext := classify_m_extension(elements, m), MExtension):
@@ -504,7 +505,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     gmax = args.gmax if args.gmax is not None else spec.default_gmax
     if gmax < spec.least_gmax:
         raise ValueError(f"--gmax must be >= {spec.least_gmax} for {args.which}")
-    _guard("--gmax", gmax, spec.guard, args.force)
+    _guard("--gmax", CensusQuery(gmax, mult=spec.mult), spec.guard, args.force)
     render = _render_csv if args.format == "csv" else _render_markdown
     sys.stdout.write(render(*table_rows(args.which, gmax, jobs=args.jobs)))
     return EXIT_OK
@@ -512,13 +513,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = args.genus
-    _guard("genus", g, GMAX_GUARD, args.force)
-    lower = lower_bound_depth3(g)  # before the census: an index past its window fails at once
-    hist = census_histograms(CensusQuery(g), args.jobs)[g]
+    query = _guard("genus", CensusQuery(g), GMAX_GUARD, args.force)
+    hist = census_histograms(query, args.jobs)[g]
     ms = [args.M] if args.M is not None else [2, 3, 4]
     record = {
         "genus": g,
-        "lower_depth3": lower,
+        "lower_depth3": lower_bound_depth3(g),
         "n_prime": sum(n for (q, _), n in hist.items() if q <= 3),
         "n_g": sum(hist.values()),
         "upper": {str(M): upper_bound_ng(g, M, hist) for M in ms},
@@ -527,16 +527,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     g, lower, nprime, ng, ubs, closed, power = record.values()
 
-    violations = []
-    if not (lower <= nprime <= ng):
-        violations.append(f"lower {lower} <= n'_g {nprime} <= n_g {ng} fails")
-    for M, ub in ubs.items():
-        if ng > ub:
-            violations.append(f"n_g {ng} exceeds UB(M={M}) {ub}")
-    if closed is not None and ng > closed:
-        violations.append(f"n_g {ng} exceeds closed-N bound {closed}")
-    if ng > power:
-        violations.append(f"n_g {ng} exceeds 2^(g-1) {power}")
+    # each upper bound on n_g: its plain line's label, and its name in a violation
+    uppers = [(f"upper bound (M={M}):            ", f"UB(M={M})", ub) for M, ub in ubs.items()]
+    if closed is not None:
+        uppers.append(("upper bound (closed N):        ", "closed-N bound", closed))
+    uppers.append(("2^(g-1):                       ", "2^(g-1)", power))
+    violations = [] if lower <= nprime <= ng else [f"lower {lower} <= n'_g {nprime} <= n_g {ng} fails"]
+    violations += [f"n_g {ng} exceeds {name} {ub}" for _, name, ub in uppers if ng > ub]
     record.update(ok=not violations, violations=violations)
 
     lines = [
@@ -545,10 +542,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         f"n'_g (depth<=3):               {nprime}",
         f"n_g:                           {ng}",
     ]
-    lines += [f"upper bound (M={M}):            {ub}" for M, ub in ubs.items()]
-    if closed is not None:
-        lines.append(f"upper bound (closed N):        {closed}")
-    lines.append(f"2^(g-1):                       {power}")
+    lines += [f"{label}{ub}" for label, _, ub in uppers]
     lines += [f"VIOLATION: {v}" for v in violations] or ["sandwich: ok"]
     emit(args.format, record, lines)
     return EXIT_INTERNAL if violations else EXIT_OK
@@ -582,10 +576,10 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
-    _guard("--gmax", args.gmax, GMAX_GUARD, args.force)
+    query = _guard("--gmax", CensusQuery(args.gmax), GMAX_GUARD, args.force)
     path = Path(args.bfile) if args.bfile else bundled_bfile()
     by_index = parse_bfile(path)
-    hists = census_histograms(CensusQuery(args.gmax), args.jobs, low=0)
+    hists = census_histograms(query, args.jobs, low=0)
     ng = [sum(hist.values()) for hist in hists.values()]
 
     # our own census must reproduce the known first terms before it is
@@ -595,18 +589,14 @@ def cmd_oeis(args: argparse.Namespace) -> int:
             print(f"internal error: census n_{g} != {expected}", file=sys.stderr)
             return EXIT_INTERNAL
 
-    problems = []
-    for g, expected in enumerate(ng):
-        if g not in by_index:
-            problems.append(f"g={g}: index {g} missing from {path.name}")
-        elif by_index[g] != expected:
-            problems.append(f"g={g}: file has {by_index[g]}, census says {expected}")
-    for line in problems:
-        print(line)
-    if problems:
-        return EXIT_NEGATIVE
-    print(f"all match: g=0..{args.gmax} against {path.name}")
-    return EXIT_OK
+    problems = [
+        f"g={g}: file has {by_index[g]}, census says {expected}" if g in by_index
+        else f"g={g}: index {g} missing from {path.name}"
+        for g, expected in enumerate(ng)
+        if by_index.get(g) != expected
+    ]
+    print("\n".join(problems or [f"all match: g=0..{args.gmax} against {path.name}"]))
+    return EXIT_NEGATIVE if problems else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

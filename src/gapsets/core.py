@@ -36,15 +36,15 @@ def _ceil_div(a: int, b: int) -> int:
 def as_elements(values: Iterable[int]) -> tuple[int, ...]:
     """Canonical strictly increasing tuple of positive integers.
 
-    Rejects non-positive entries and duplicates.
+    Rejects non-positive entries and duplicates, naming the least offender
+    (a non-positive one first).
     """
-    elems = sorted(values)
-    for i, v in enumerate(elems):
-        if v < 1:
-            raise ValueError(f"set elements must be positive integers, got {v}")
-        if i and elems[i - 1] == v:
-            raise ValueError(f"repeated element {v}")
-    return tuple(elems)
+    elems = tuple(sorted(values))
+    if elems and elems[0] < 1:
+        raise ValueError(f"set elements must be positive integers, got {elems[0]}")
+    if len(set(elems)) < len(elems):
+        raise ValueError(f"repeated element {next(a for a, b in zip(elems, elems[1:]) if a == b)}")
+    return elems
 
 
 def invariants(elements: Sequence[int]) -> tuple[int, int, int, int]:

@@ -64,9 +64,12 @@ def canonical(genus, count, **fields):
 
 def test_parse_helpers():
     assert parse_set("1,2,4,7,10") == (1, 2, 4, 7, 10)
+    assert parse_set(" 10, 1,4 ") == (1, 4, 10)  # ascending, whatever the order given
     assert parse_set("") == ()
-    with pytest.raises(ValueError):
-        parse_set("1,x")
+    bad = [("1,x", "bad set literal"), ("0,2", "got 0"), ("-5", "got -5"), ("2,2", "repeated element 2")]
+    for literal, why in bad:
+        with pytest.raises(ValueError, match=why):
+            parse_set(literal)
     v = parse_kunz("4:4,4,3")
     assert (v.modulus, v.coords) == (4, (4, 4, 3))
     with pytest.raises(ValueError):
@@ -110,10 +113,21 @@ def test_count_bad_range(capsys):
 def test_count_guard(capsys):
     code, out, err = run(capsys, "count", "--genus", "40")
     assert code == 2 and out == "" and "--force" in err
-    code, out, _ = run(capsys, "count", "--genus", "64", "--force")
-    assert code == 2  # past the 64-bit count guard even when forced
     code, out, err = run(capsys, "bounds", "--genus", "40")
     assert code == 2 and out == "" and "--force" in err
+    # past the 64-bit count guard --force cannot help, and the error says so whether or not it is given
+    for command in ("count", "enumerate", "bounds"):
+        for force in ((), ("--force",)):
+            expected = (2, "", "error: genus 64 exceeds the 64-bit count guard (63)\n")
+            assert run(capsys, command, "--genus", "64", *force) == expected, (command, force)
+    code, out, err = run(capsys, "bounds", "--genus", "200", "--force")
+    assert (code, out, err) == (2, "", "error: genus 200 exceeds the 64-bit count guard (63)\n")
+    # a bad filter is reported before the genus guard is read
+    code, out, err = run(capsys, "count", "--genus", "30", "--depth", "-1")
+    assert (code, out, err) == (2, "", "error: depth filter must be >= 0, got -1\n")
+    assert run(capsys, "enumerate", "--genus", "30", "--mult", "1") == (
+        2, "", "error: multiplicity filter must be >= 2, got 1\n"
+    )
 
 
 def test_count_cache_round_trip(tmp_path, capsys):
@@ -836,6 +850,11 @@ def test_table_guard(capsys):
     assert code == 2 and out == "" and "--force" in err
     code, out, err = run(capsys, "oeis", "--gmax", "-1")
     assert code == 2 and out == "" and "--gmax" in err
+    # past the 64-bit count guard, forced or not
+    for argv in (("oeis",), ("table", "--which", "t1"), ("table", "--which", "t2")):
+        for force in ((), ("--force",)):
+            expected = (2, "", "error: genus 64 exceeds the 64-bit count guard (63)\n")
+            assert run(capsys, *argv, "--gmax", "64", *force) == expected, (argv, force)
 
 
 def test_table_csv_is_deterministic(capsys):
@@ -1002,6 +1021,16 @@ def test_oeis_missing_index(tmp_path, capsys):
     assert code == 1 and "missing" in out
 
 
+def test_oeis_mismatch_report(tmp_path, capsys):
+    # one problem line per genus, in genus order: a corrupted value and a missing index
+    lines = [line for line in bundled_bfile().read_text().splitlines() if not line.startswith("9 ")]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join("6 24" if line.startswith("6 ") else line for line in lines) + "\n")
+    code, out, err = run(capsys, "oeis", "--bfile", str(path), "--gmax", "10")
+    expected = "g=6: file has 24, census says 23\ng=9: index 9 missing from bad.txt\n"
+    assert (code, out, err) == (1, expected, "")
+
+
 def test_oeis_index_is_the_genus(capsys):
     code, out, err = run(capsys, "oeis", "--gmax", "4", "--offset", "1")  # no such flag
     assert code == 2 and out == "" and "--offset" in err
@@ -1052,6 +1081,22 @@ def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
     for args, path in cases:
         code, out, err = run(capsys, "count", *args, "--cache", str(path))
         assert code == 2 and out == "" and "error:" in err and "Traceback" not in err, (args, path)
+
+
+@pytest.mark.parametrize("mult", [(), ("--mult", "3")])
+@pytest.mark.parametrize(
+    "literal, why",
+    [
+        ("-5", "set elements must be positive integers, got -5"),
+        ("0", "set elements must be positive integers, got 0"),
+        ("0,2", "set elements must be positive integers, got 0"),
+        ("2,2", "repeated element 2"),
+    ],
+)
+def test_malformed_set_refused_first(capsys, literal, why, mult):
+    # the set is checked before its multiplicity is read: both commands name the same bad element
+    for command in ("verify", "kunz"):
+        assert run(capsys, command, f"--set={literal}", *mult) == (2, "", f"error: {why}\n"), command
 
 
 @pytest.mark.parametrize("command", ["verify", "kunz"])

@@ -22,6 +22,11 @@ def test_as_elements_sorts_and_validates():
         as_elements([0, 1])
     with pytest.raises(ValueError):
         as_elements([2, 2])
+    # the least offender is named, a non-positive one before a repeat
+    with pytest.raises(ValueError, match=r"positive integers, got -2$"):
+        as_elements([3, 0, 5, 5, -2])
+    with pytest.raises(ValueError, match=r"^repeated element 2$"):
+        as_elements([4, 2, 7, 4, 2])
 
 
 def test_rejects_with_smallest_witness():
