@@ -19,6 +19,11 @@ their own: a node one genus short has its only child, k_m = 1, counted
 in place; a node two genus short (inside the window, with a cap of 2 or
 more) its children k_m = 1, that one's only child, and k_m = 2; and a
 node three short (cap 3 or more, window one part wider) its seven tails.
+A fixed multiplicity m >= 4 makes the window one part wide, P = m - 1,
+and there the search stops at k_(P-2): once k_(P-1) + k_P is set, every
+inequality that holds either is linear in x = k_(P-1), so each node counts
+its gapsets as one interval of x per genus.  The bounds that hold no
+k_(P-2) are computed once for all the siblings at that position.
 A depth filter caps every coordinate, and one window bounds their
 number.  The conductor is at most 2g, so depth <= ceil(2g/m): a
 multiplicity m fixes the window at m - 1 and caps every coordinate at
@@ -178,6 +183,17 @@ def _census(
     and its grandchildren inside the window: its tails (1), (1,1), (1,1,1),
     (1,2), (2), (2,1) and (3) are, against `floor(m + 1)`, `floor(m + 2)`
     once per k_m < 3 and `floor(m + 3)`.
+
+    A one-part window of P = pmin = pmax >= 3 parts, when no coordinates
+    are recorded, has its loop at position P - 2 made by `last_two`, which
+    calls nothing: each v = k_(P-2) and genus left r count the x = k_(P-1)
+    of one interval, with y = k_P = r - x, into the depth cells max(d, v,
+    x, y).  The interval's ends are the forward pairs that hold x or y, the
+    cap, and the wrap-around pairs of modulus P + 1: (P, P), (P - 1, P) and
+    the pairs (t + 1, P), (t + 2, P - 1) of each k_t on `deep`.  The bounds
+    that hold no v, a floor on v from the pairs (t + 3, P - 2), and whether
+    a pair that holds none of v, x, y fails (then nothing counts) are
+    computed once a loop.
     """
     genus = query.genus
     cap, pmin, pmax, depths, moduli = _search_bounds(query)
@@ -197,6 +213,8 @@ def _census(
 
     deep: list[int] = []  # the positions t, ascending, with k_t >= 4: only such a k_t can fail a wrap-around pair
     over = genus + 1  # above any cap
+    # a one-part window of P = pmin >= 3 parts counts its last two coordinates at position P - 2 by intervals
+    tail = pmin - 2 if items is None and pmin == pmax >= 3 else 0
 
     def floor(m: int) -> int:
         # the least k_(m-1) that passes every wrap-around pair i + j = m + t, k_t <= k_i + k_j + 1, given
@@ -215,20 +233,83 @@ def _census(
                 least = need
         return least
 
+    def last_two(g: int, d: int, lo: int, hi: int) -> None:
+        # the loop at position P - 2 (P = pmin = pmax) over v = k_(P-2) from lo to hi, g and d its parent's
+        x_hi = y_hi = cap  # the forward pairs that hold no v: x <= k_i + k_(P-1-i), y <= k_i + k_(P-i)
+        for i in range(2, (pmin - 1) // 2 + 1):
+            c = k[i] + k[pmin - 1 - i]
+            x_hi = c if c < x_hi else x_hi
+        for i in range(3, pmin // 2 + 1):
+            c = k[i] + k[pmin - i]
+            y_hi = c if c < y_hi else y_hi
+        x_lo = y_lo = 1
+        x4 = y3 = 0  # k_(P-4) - 1 and k_(P-3) - 1 if on `deep`: x >= k_(P-4) - 1 - v and y >= k_(P-3) - 1 - v
+        for t in deep:  # the wrap-around pairs i + j = P + 1 + t, k_t <= k_i + k_j + 1
+            kt = k[t] - 1
+            if t == pmin - 3:  # (P - 2, P) and (P - 1, P - 1)
+                y3, c = kt, (kt + 1) // 2
+                x_lo = c if c > x_lo else x_lo
+                continue
+            c = kt - k[t + 1]  # (t + 1, P)
+            y_lo = c if c > y_lo else y_lo
+            if t == pmin - 4:  # (P - 2, P - 1)
+                x4 = kt
+                continue
+            c = kt - k[t + 2]  # (t + 2, P - 1)
+            x_lo = c if c > x_lo else x_lo
+            c = kt - k[t + 3] if t + 3 < pmin - 2 else (kt + 1) // 2  # (t + 3, P - 2): a floor on v
+            lo = c if c > lo else lo
+            for i in range(t + 4, (pmin + 1 + t) // 2 + 1):
+                if k[i] + k[pmin + 1 + t - i] < kt:
+                    return
+        c = (genus - g + 1) // 2  # above it, v > r + 1 for every genus left r <= G - g - v: the pair (P - 1, P)
+        hi = c if c < hi else hi
+        p = pmin - 2
+        at = pmin + 1 - base + g * plane
+        for v in range(lo, hi + 1):
+            k[p] = v  # at mult 4 and 5, k_1 and k_2 are v itself
+            dv = v if v > d else d
+            k1 = k[1]
+            xh = k1 + v  # (1, P - 2)
+            xh = xh if xh < x_hi else x_hi
+            yh = k[2] + v if p > 1 else y_hi  # (2, P - 2)
+            yh = yh if yh < y_hi else y_hi
+            xl = x4 - v
+            xl = xl if xl > x_lo else x_lo
+            yl = y3 - v
+            yl = yl if yl > y_lo else y_lo
+            cell = at + v * plane
+            least = low - g - v  # the genus left of the lowest genus counted
+            for r in range(least if least > v - 1 else v - 1, genus - g - v + 1):
+                a = (r - k1 + 1) // 2  # y <= k_1 + x
+                a = xl if xl > a else a
+                a = r - yh if r - yh > a else a
+                b = (2 * r + 1) // 3  # x <= 2y + 1
+                b = xh if xh < b else b
+                b = r - yl if r - yl < b else b
+                at_r = cell + r * plane
+                for x in range(a, b + 1):  # depth max(dv, x, r - x)
+                    q = x if x > r - x else r - x
+                    tally[at_r + (q if q > dv else dv) * moduli] += 1
+
     def grow(p: int, g: int, d: int) -> None:
         m = p + 1  # the modulus of the nodes placed at position p
-        hi = min(cap, genus - g)
+        hi = genus - g
+        hi = cap if cap < hi else hi
         if hi > 2:  # every pair sums to 2 or more, so it cannot lower a cap of 1 or 2
             for i in range(1, p // 2 + 1):
                 if k[i] + k[p - i] < hi:
                     hi = k[i] + k[p - i]
-        if p < pmin:  # every later slot takes at least 1 ...
-            hi = min(hi, genus - g - (pmin - p))
-        lo = low - g - cap * (pmax - p)  # ... and at most the cap
+        lo = low - g - cap * (pmax - p)  # every later slot takes at most the cap ...
         if lo < 1:
             lo = 1
         if p == 1 and first is not None:
             lo, hi = max(lo, first), min(hi, first)
+        if p < pmin:  # ... and at least 1
+            c = genus - g - (pmin - p)
+            hi = c if c < hi else hi
+            if p == tail:
+                return last_two(g, d, lo, hi)
         counted = (low if p >= pmin else genus + 1) - g  # a node placed here counts from this value ...
         if deep and counted <= hi:
             least = floor(m)  # ... and from the floor up

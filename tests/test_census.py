@@ -502,8 +502,8 @@ def test_every_filter_at_either_end_of_low():
 
 def test_mult_histograms_are_the_selected_cells():
     # a multiplicity m caps every coordinate at ceil(2G/m), the depth bound at genus G
-    full = census_histograms(q(18), low=0)
-    for G in range(0, 19):
+    full = census_histograms(q(20), low=0)
+    for G in range(0, 21):
         for m in range(2, G + 2):
             for g, hist in census_histograms(q(G, mult=m), low=0).items():
                 assert hist == Counter({(d, k): n for (d, k), n in full[g].items() if k == m}), (G, m, g)
@@ -553,3 +553,60 @@ def test_each_tail_of_a_node_three_genus_short_has_its_own_check():
         assert coords_violation(v) == pair
         for mult in (None, len(v) + 1):
             assert v not in census_coords(q(sum(v), mult=mult)), (v, mult)
+
+
+def failing_pairs(c):
+    """Every pair (i, j), i <= j, of the Kunz system that the coordinates c fail."""
+    m, k = len(c) + 1, (0, *c)
+    return [(i, j) for i in range(1, m) for j in range(i, m) if i + j != m and k[(i + j) % m] > k[i] + k[j] + (i + j > m)]
+
+
+def test_each_interval_bound_of_the_last_two_coordinates_has_its_own_check():
+    # with P = m - 1 >= 3 parts, each node (k_1, ..., v = k_(P-2)) counts x = k_(P-1), y = k_P by one interval;
+    # each vector fails only the pair that gives one bound, so its cell counts it if that bound is missing
+    oracle = composition_histograms(18)
+    for c, pair in [
+        ((2, 2, 4, 1), (4, 4)),  # x <= 2y + 1
+        ((2, 4, 1), (3, 3)),  # ... at mult 4
+        ((2, 4, 1, 1), (3, 4)),  # v <= x + y + 1
+        ((4, 1, 1), (2, 3)),  # ... at mult 4, where v is k_1
+        ((2, 4, 1, 1, 2), (4, 4)),  # k_(P-3) <= 2x + 1
+        ((2, 4, 1, 2, 1), (3, 5)),  # k_(P-3) <= v + y + 1
+        ((2, 4, 1, 1, 2, 1), (3, 6)),  # k_t <= k_(t+1) + y + 1, t = P - 4
+        ((4, 1, 1, 1, 2, 2, 1), (2, 7)),  # ... t = P - 6
+        ((2, 4, 1, 1, 1, 2), (4, 5)),  # k_t <= v + x + 1, t = P - 4
+        ((2, 4, 1, 1, 2, 1, 2), (4, 6)),  # k_t <= k_(t+2) + x + 1, t = P - 5
+        ((4, 1, 1, 1, 2, 2), (4, 4)),  # k_t <= 2v + 1, t = P - 5
+        ((4, 1, 1, 1, 1, 2, 2), (4, 5)),  # k_t <= k_(t+3) + v + 1, t = P - 6
+        ((4, 1, 1, 1, 1, 2, 2, 2), (5, 5)),  # a pair that holds none of v, x, y
+        ((1, 3, 1), (1, 1)),  # x <= k_1 + v at mult 4, where v is k_1
+        ((1, 2, 1, 3, 1), (1, 3)),  # x <= k_1 + v
+        ((1, 1, 1, 2, 3, 1), (2, 3)),  # x <= k_i + k_(P-1-i), i >= 2
+        ((1, 1, 3), (1, 2)),  # y <= k_1 + x at mult 4
+        ((1, 1, 2, 1, 3), (1, 4)),  # y <= k_1 + x
+        ((1, 1, 2, 3), (2, 2)),  # y <= k_2 + v at mult 5, where v is k_2
+        ((1, 1, 1, 2, 3), (2, 3)),  # y <= k_2 + v
+        ((1, 1, 1, 2, 2, 3), (3, 3)),  # y <= k_i + k_(P-i), i >= 3
+    ]:
+        assert failing_pairs(c) == [pair], c
+        g, cell = sum(c), (max(c), len(c) + 1)
+        for G, low in [(g, g), (g + 2, 0)]:  # genus g alone, and a pass over every genus to g + 2
+            assert census_histograms(q(G, mult=cell[1]), low=low)[g][cell] == oracle[g][cell], (c, G, low)
+    # x, y <= the cap: gapsets whose one deepest coordinate is x or y, under a depth bound one below it
+    for c in [(2, 3, 1), (1, 2, 3), (1, 2, 2, 3, 1), (1, 1, 2, 2, 3), (1, 1, 1, 2, 2, 2, 3, 1), (1, 1, 1, 2, 2, 2, 2, 3)]:
+        assert failing_pairs(c) == [], c
+        query = q(sum(c), max_depth=max(c) - 1, mult=len(c) + 1)
+        assert census_histograms(query) == {query.genus: Counter({x: n for x, n in oracle[query.genus].items() if query.selects(*x)})}, c
+    # every m >= 4 under every depth filter that binds (a max_depth of ceil(2G/m) or more binds nothing), from
+    # genus 0 and at genus G alone, against the selected cells of the walk without a multiplicity
+    for G in (14, 16):
+        full = census_histograms(q(G), low=0)
+        for m in range(4, G + 3):
+            bound = -(-2 * G // m)
+            for f in [{}] + [{"depth": d} for d in range(bound + 2)] + [{"max_depth": d} for d in range(bound)]:
+                query = q(G, mult=m, **f)
+                for low in (0, G):
+                    want = {h: Counter({c: n for c, n in full[h].items() if query.selects(*c)}) for h in range(low, G + 1)}
+                    assert census_histograms(query, low=low) == want, (query, low)
+    for m in (4, 9):
+        assert census_histograms(q(16, mult=m), jobs=2, low=0) == census_histograms(q(16, mult=m), low=0), m

@@ -386,7 +386,7 @@ def records_of(body):
         genus, *fields = (rec[f] for f in cli.QUERY_FIELDS)
         if type(genus) is int and type(rec["count"]) is int and all(v is None or type(v) is int for v in fields):
             if canonical(genus, rec["count"], **dict(zip(cli.QUERY_FIELDS[1:], fields))) == line:
-                answers[genus, *fields] = rec["count"]
+                answers[(genus, *fields)] = rec["count"]
     return answers
 
 
