@@ -220,15 +220,19 @@ def _census(
         # the least k_(m-1) that passes every wrap-around pair i + j = m + t, k_t <= k_i + k_j + 1, given
         # k_1 ... k_(m-2) (`deep` holds no position past m - 2); `over` if a pair without k_(m-1) fails
         least = 0
+        top = m - 2
         for t in deep:
             kt = k[t] - 1
-            if t == m - 2:  # the pair (m - 1, m - 1)
+            if t == top:  # the pair (m - 1, m - 1)
                 need = (kt + 1) // 2
-            else:  # the pair (t + 1, m - 1), then the pairs that hold no k_(m-1)
+            else:  # the pair (t + 1, m - 1), then the pairs (i, j) that hold no k_(m-1), from (t + 2, m - 2) inward
                 need = kt - k[t + 1]
-                for i in range(t + 2, (m + t) // 2 + 1):
-                    if k[i] + k[m + t - i] < kt:
+                i, j = t + 2, top
+                while i <= j:
+                    if k[i] + k[j] < kt:
                         return over
+                    i += 1
+                    j -= 1
             if need > least:
                 least = need
         return least
@@ -278,28 +282,37 @@ def _census(
             xl = xl if xl > x_lo else x_lo
             yl = y3 - v
             yl = yl if yl > y_lo else y_lo
-            cell = at + v * plane
-            least = low - g - v  # the genus left of the lowest genus counted
-            for r in range(least if least > v - 1 else v - 1, genus - g - v + 1):
+            r = low - g - v  # the genus left of the lowest genus counted
+            r = r if r > v - 1 else v - 1
+            at_r = at + (v + r) * plane
+            end = genus - g - v
+            while r <= end:
                 a = (r - k1 + 1) // 2  # y <= k_1 + x
                 a = xl if xl > a else a
                 a = r - yh if r - yh > a else a
                 b = (2 * r + 1) // 3  # x <= 2y + 1
                 b = xh if xh < b else b
                 b = r - yl if r - yl < b else b
-                at_r = cell + r * plane
-                for x in range(a, b + 1):  # depth max(dv, x, r - x)
-                    q = x if x > r - x else r - x
+                x, y = a, r - a
+                while x <= b:  # depth max(dv, x, y)
+                    q = x if x > y else y
                     tally[at_r + (q if q > dv else dv) * moduli] += 1
+                    x += 1
+                    y -= 1
+                r += 1
+                at_r += plane
 
     def grow(p: int, g: int, d: int) -> None:
         m = p + 1  # the modulus of the nodes placed at position p
         hi = genus - g
         hi = cap if cap < hi else hi
         if hi > 2:  # every pair sums to 2 or more, so it cannot lower a cap of 1 or 2
-            for i in range(1, p // 2 + 1):
-                if k[i] + k[p - i] < hi:
-                    hi = k[i] + k[p - i]
+            i, j = 1, p - 1
+            while i <= j:
+                if k[i] + k[j] < hi:
+                    hi = k[i] + k[j]
+                i += 1
+                j -= 1
         lo = low - g - cap * (pmax - p)  # every later slot takes at most the cap ...
         if lo < 1:
             lo = 1
@@ -319,7 +332,8 @@ def _census(
         deeper = lo if lo > 4 else 4  # v only grows: from this value on, p is on `deep`
         at = m - base
         inner = inners[m]
-        for v in range(lo, hi + 1):
+        v = lo
+        while v <= hi:
             k[p] = v
             if v == deeper:
                 deep.append(p)
@@ -350,10 +364,13 @@ def _census(
                 else:  # genus G - 3: the tails (1), (1,1), (1,1,1), (1,2), (2), (2,1) and (3) of k_m, in walk order
                     cell = at + child + dv * moduli  # (G, dv, m + 1)
                     fits = True  # whether the forward pairs allow k_m = 3: only a pair 1 + 1 rules it out
-                    for i in range(1, m // 2 + 1):
-                        if k[i] + k[m - i] == 2:
+                    i, j = 1, m - 1
+                    while i <= j:
+                        if k[i] + k[j] == 2:
                             fits = False
                             break
+                        i += 1
+                        j -= 1
                     least = floor(m + 1) if deep and (fits or low < genus) else 0  # the least k_m
                     k[m] = k[m + 1] = 1
                     if low <= short and least <= 1:
@@ -378,6 +395,7 @@ def _census(
                     if fits and least <= 3:
                         d3 = dv if dv > 3 else 3
                         tally[at + child + d3 * moduli] += 1
+            v += 1
         if hi >= deeper:
             deep.pop()
 

@@ -610,3 +610,22 @@ def test_each_interval_bound_of_the_last_two_coordinates_has_its_own_check():
                     assert census_histograms(query, low=low) == want, (query, low)
     for m in (4, 9):
         assert census_histograms(q(16, mult=m), jobs=2, low=0) == census_histograms(q(16, mult=m), low=0), m
+
+
+def test_each_pair_of_a_wrap_around_scan_has_its_own_check():
+    # each vector fails one pair of a scan that walks its pairs (i, j) from both ends inward: the wrap-around
+    # pairs of `floor`, from (t + 2, m - 2), and the forward pairs that cap a coordinate, from (1, p - 1); no
+    # multiplicity is fixed, so no node counts its last two coordinates by intervals
+    oracle = composition_histograms(18)
+    for c, pair in [
+        ((4, 1, 1, 2, 1, 2), (3, 5)),  # the first wrap-around pair
+        ((4, 1, 1, 1, 2, 2), (4, 4)),  # the middle pair, i = j
+        ((4, 1, 1, 1, 1, 2, 2), (4, 5)),  # the last pair of a scan of odd m + t
+        ((1, 3, 1), (1, 1)),  # the middle forward pair
+        ((1, 1, 3), (1, 2)),  # the first forward pair
+    ]:
+        assert failing_pairs(c) == [pair], c
+        g, cell = sum(c), (max(c), len(c) + 1)
+        assert c not in census_coords(q(g)), c
+        for low in (g, 0):  # genus g alone, and a pass from genus 0
+            assert census_histograms(q(g), low=low)[g][cell] == oracle[g][cell], (c, low)

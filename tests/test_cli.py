@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kunz import coords_strategy
 
@@ -1118,6 +1118,13 @@ def kunz_literal(m, coords):
     return f"{m}:" + ",".join(map(str, coords))
 
 
+# Each example makes three or four in-process CLI calls, 1-2 ms on an idle host.  A loaded host that
+# stalls one example past hypothesis's default 200 ms deadline fails the test (a FlakyFailure over
+# DeadlineExceeded, since the replay is fast), so these tests allow 2 s an example.
+CLI_EXAMPLE_DEADLINE_MS = 2000
+
+
+@settings(deadline=CLI_EXAMPLE_DEADLINE_MS)
 @given(coords_strategy)
 def test_cli_round_trip_from_kunz_kunz_verify(mc):
     m, coords = mc
@@ -1134,6 +1141,7 @@ def test_cli_round_trip_from_kunz_kunz_verify(mc):
     assert code == (0 if isinstance(classify_gapset(elements), GapSet) else 1)
 
 
+@settings(deadline=CLI_EXAMPLE_DEADLINE_MS)
 @given(coords_strategy, st.data())
 def test_cli_malformed_literal_exits_2(mc, data):
     m, coords = mc

@@ -21,6 +21,10 @@ The census walk has one output, its tally: `census_coords` records each gapset a
 counts it, so the walk in `census._census` (`grow` and the loop over `firsts`) names neither
 `items` nor `selects`.
 
+The census's wrap-around floor walks its pairs with two indices: `floor` in `census._census`
+calls no `range`, which would build a range object and its iterator on each of its many
+short scans.
+
 The count cache holds only its log: the body of `cli.CountCache` names none of `count_gapsets`,
 `census_histograms`, `_guard` and `GMAX_GUARD`.  It reads and appends records; `count --selfcheck`
 builds the queries, applies the genus guard and recounts them, so the record format and the
@@ -153,9 +157,14 @@ def test_no_file_rewrite(path):
     assert found == []
 
 
-def test_census_walk_has_one_output():
+def census_engine():
+    """The syntax tree of `census._census`."""
     tree = ast.parse((SOURCES[0].parent / "census.py").read_text(encoding="utf-8"))
-    census = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_census")
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_census")
+
+
+def test_census_walk_has_one_output():
+    census = census_engine()
     walk = [
         node
         for node in census.body
@@ -170,6 +179,16 @@ def test_census_walk_has_one_output():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert named & {"items", "selects"} == set()
+
+
+def test_census_floor_calls_no_range():
+    floor = next(node for node in census_engine().body if isinstance(node, ast.FunctionDef) and node.name == "floor")
+    calls = [
+        node.lineno
+        for node in ast.walk(floor)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+    ]
+    assert calls == []
 
 
 def test_count_cache_holds_only_its_log():
